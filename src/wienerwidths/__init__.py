@@ -44,7 +44,6 @@ from .asymptotics import (
 from .lattice_count import (
     AppendixReport,
     AppendixRow,
-    CountResult,
     SplitCell,
     count_A,
     count_A_split,
@@ -89,7 +88,6 @@ __all__ = [
     "ConvergenceTable",
     "convergence_table",
     "aux_integral",
-    "CountResult",
     "SplitCell",
     "AppendixRow",
     "AppendixReport",

@@ -39,7 +39,6 @@ smooth integrand for a > 1, handled by adaptive quadrature (QUADPACK).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -204,13 +203,10 @@ def convergence_table(
     alpha: float,
     beta: float,
     target: float,
-    threads: int = 1,
 ) -> ConvergenceTable:
     """Width values on an increasing n grid, normalized by n^-alpha (ln n)^beta.
 
     Only exact-width embeddings are accepted (a bracket has no single ratio).
-    Rows are independent; with threads > 1 they are computed by an
-    order-preserving thread map, so output does not depend on the count.
     """
     grid = [int(n) for n in n_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -228,11 +224,7 @@ def convergence_table(
         norm = n ** (-alpha) * math.log(n) ** beta
         return ConvergenceRow(n, wv.value, norm, wv.value / norm, target)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(row, grid))
-    else:
-        rows = tuple(row(n) for n in grid)
+    rows = tuple(row(n) for n in grid)
     return ConvergenceTable(embedding, kind, alpha, beta, target, rows)
 
 

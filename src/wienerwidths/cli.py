@@ -12,20 +12,16 @@ for the same data as one JSON object):
     integral         n, value, limit, abs_dev
 
 Floats print with 17 significant digits and '.' decimal separator; output
-is byte-identical across runs and thread counts (threads only fan out
-independent rows through an order-preserving map).  Progress notes, if any,
-go to stderr.  Exit codes: 0 success, 2 domain/usage error, 3 resource cap.
+is byte-identical across runs.  Progress notes, if any, go to stderr.
+Prefix lengths above 30,000,000 are refused before any enumeration.
+Exit codes: 0 success, 2 domain/usage error, 3 resource cap.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
-import math
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -41,138 +37,67 @@ from .lattice_count import (
     count_A,
     count_A_split,
     count_C,
-    lambda_split_exponent,
     sandwich_check,
+    split_cut,
     verify_appendix_limits,
 )
 from .sigma import (
-    BoxTooSmallError,
     CumSumOverflowError,
+    SigmaPrefix,
     sigma_bruteforce,
     sigma_prefix,
 )
 from .weights import Family, WeightSpec
-from .widths import Embedding, PrefixTooShortError, WidthKind, WidthQuery, width
+from .widths import (
+    Embedding,
+    PrefixTooShortError,
+    WidthKind,
+    WidthQuery,
+    needs_sup,
+    width,
+)
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _PREFIX_CAP = 30_000_000
 _PROGRESS_AT = 1_000_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs; round-trips through to_dict/from_dict."""
-
-    command: str
-    family: str | None = None
-    s: str | None = None
-    r: str | None = None
-    d: int | None = None
-    n: str | None = None
-    n_grid: str | None = None
-    r_grid: str | None = None
-    embedding: str | None = None
-    kind: str | None = None
-    p: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    target: float | None = None
-    name: str | None = None
-    ell: int | None = None
-    j: int | None = None
-    r_ell: str | None = None
-    a: float | None = None
-    tol: float | None = None
-    threads: int = 1
-    output: str | None = None
-    format: str = "csv"
-    prefix_n: int | None = None
-    check_box_radius: int | None = None
-    sandwich_r: str | None = None
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(**d)
-
-    def validate(self) -> None:
-        """Reject invalid combinations before any computation starts."""
-        required = {
-            "sigma": ("family", "s", "d", "n"),
-            "width": ("family", "s", "d", "n", "embedding", "kind"),
-            "converge": (
-                "family", "s", "d", "n_grid", "embedding", "kind",
-                "alpha", "beta", "target",
-            ),
-            "constants": ("name",),
-            "count": ("s", "r_grid"),
-            "appendix-verify": ("s", "d", "r_grid"),
-            "integral": ("s", "beta", "a", "n_grid"),
-        }
-        if self.command not in required:
-            raise ValueError(f"unknown command {self.command!r}")
-        for field in required[self.command]:
-            if getattr(self, field) is None:
-                raise ValueError(f"{self.command} requires --{field.replace('_', '-')}")
-        if self.command == "count" and self.ell is None and self.d is None:
-            raise ValueError("count requires --d (for C) or --ell (for A)")
-        if self.command == "count" and self.j is not None and self.ell is None:
-            raise ValueError("count --j requires --ell")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-
-
 # -- parsing helpers ---------------------------------------------------------
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Grids: comma-separated integers, 'a..b' inclusive ranges, 1e6 forms."""
-    out: list[int] = []
+def _parse_int_list(text: str) -> Sequence[int]:
+    """Grids: comma-separated integers, 'a..b' inclusive ranges, 1e6 forms.
+
+    A single range stays a lazy ``range``, so an oversized n range reaches
+    the prefix cap check without first being expanded."""
+    parts: list[Sequence[int]] = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
             lo, hi = part.split("..")
-            out.extend(range(int(float(lo)), int(float(hi)) + 1))
+            parts.append(range(int(float(lo)), int(float(hi)) + 1))
         elif part:
-            out.append(int(float(part)))
-    if not out:
+            parts.append([int(float(part))])
+    if not any(parts):
         raise ValueError(f"empty grid: {text!r}")
-    return out
+    return parts[0] if len(parts) == 1 else [n for p in parts for n in p]
 
 
 def _parse_s_float(s: str) -> float:
     return float(Fraction(s))  # accepts "1.5" and "3/2"
 
 
-def _make_spec(cfg: RunConfig) -> WeightSpec:
-    try:
-        family = Family(cfg.family)
-    except ValueError:
-        names = ", ".join(f.value for f in Family)
-        raise ValueError(f"unknown family {cfg.family!r}; valid: {names}") from None
+def _make_spec(args: argparse.Namespace) -> WeightSpec:
     r = None
-    if cfg.r is not None:
-        if cfg.r.lower() in ("inf", "infinity"):
+    if args.r is not None:
+        if args.r.lower() in ("inf", "infinity"):
             raise ValueError(
                 "r=inf is spelled as the family variant "
                 "(mixed-inf / isotropic-inf), not as a number"
             )
-        r = _parse_s_float(cfg.r)
-    return WeightSpec(family, s=_parse_s_float(cfg.s), d=cfg.d, r=r)
-
-
-def _resolve_threads(flag: int | None) -> int:
-    if flag is not None:
-        return max(1, flag)
-    env = os.environ.get("WIDTHS_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+        r = _parse_s_float(args.r)
+    return WeightSpec(Family(args.family), s=_parse_s_float(args.s), d=args.d, r=r)
 
 
 # -- output ------------------------------------------------------------------
@@ -188,50 +113,77 @@ def _fmt_cell(x) -> str:
     return str(x)
 
 
-def _emit(cfg: RunConfig, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
-    if cfg.format == "json":
+def _emit(args: argparse.Namespace, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
+    if args.format == "json":
         payload = {
-            "command": cfg.command,
+            "command": args.command,
             "columns": list(columns),
             "rows": [list(row) for row in rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
-        if cfg.output:
-            with open(cfg.output, "w") as fh:
+        if args.output:
+            with open(args.output, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
         return
-    out = open(cfg.output, "w", newline="") if cfg.output else sys.stdout
+    out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt_cell(x) for x in row])
     finally:
-        if cfg.output:
+        if args.output:
             out.close()
 
 
-def _note(msg: str) -> None:
-    print(msg, file=sys.stderr)
+# -- prefixes ----------------------------------------------------------------
+
+
+def _prefix(spec: WeightSpec, n: int) -> SigmaPrefix:
+    """The first n rearrangement values, refused above the prefix cap."""
+    if n > _PREFIX_CAP:
+        raise ResourceLimitError(
+            f"prefix cap {_PREFIX_CAP} exceeded: N={n} requested"
+        )
+    if n >= _PROGRESS_AT:
+        print(f"computing rearrangement prefix, N={n} ...", file=sys.stderr)
+    return sigma_prefix(spec, n)
+
+
+def _prefix_with_retry(
+    spec: WeightSpec, n_hi: int, sup: bool, prefix_n: int | None, compute
+):
+    """Run `compute(prefix)`, growing the prefix until the sup certificate
+    fits; the starting size comes from --prefix-n when given."""
+    if prefix_n is not None:
+        n = max(prefix_n, n_hi)
+    elif sup:
+        n = max(n_hi, min(max(64, 4 * n_hi), _PREFIX_CAP))
+    else:
+        n = n_hi
+    while True:
+        prefix = _prefix(spec, n)
+        try:
+            return compute(prefix)
+        except PrefixTooShortError as exc:
+            n = max(2 * n, exc.required)
 
 
 # -- subcommands -------------------------------------------------------------
 
 
-def _cmd_sigma(cfg: RunConfig) -> int:
-    spec = _make_spec(cfg)
-    n_max = int(float(cfg.n))
+def _cmd_sigma(args: argparse.Namespace) -> int:
+    spec = _make_spec(args)
+    n_max = int(float(args.n))
     if n_max < 1:
         raise ValueError("--n must be >= 1")
-    if n_max >= _PROGRESS_AT:
-        _note(f"computing rearrangement prefix, N={n_max} ...")
-    prefix = sigma_prefix(spec, n_max)
+    prefix = _prefix(spec, n_max)
     columns = ["n", "sigma", "cum_inv_sq"]
     oracle = None
-    if cfg.check_box_radius is not None:
-        oracle = sigma_bruteforce(spec, n_max, cfg.check_box_radius)
+    if args.check_box_radius is not None:
+        oracle = sigma_bruteforce(spec, n_max, args.check_box_radius)
         columns.append("sigma_oracle")
     rows = []
     for i in range(n_max):
@@ -239,115 +191,89 @@ def _cmd_sigma(cfg: RunConfig) -> int:
         if oracle is not None:
             row.append(float(oracle.values[i]))
         rows.append(row)
-    _emit(cfg, columns, rows)
+    _emit(args, columns, rows)
     return 0
 
 
-def _needs_sup(embedding: Embedding, kind: WidthKind) -> bool:
-    return kind in (WidthKind.APPROXIMATION, WidthKind.KOLMOGOROV) and embedding in (
-        Embedding.A_TO_L2,
-        Embedding.A_TO_LINF,
-        Embedding.A_TO_LP,
-        Embedding.CMIX_TO_L2,
-        Embedding.AMIX_TO_H1,
-    )
-
-
-def _prefix_with_retry(cfg: RunConfig, spec: WeightSpec, n_hi: int, sup: bool, compute):
-    """Run `compute(prefix)`, growing the prefix until the sup certificate
-    fits; the starting size comes from --prefix-n when given."""
-    if cfg.prefix_n is not None:
-        n = max(cfg.prefix_n, n_hi)
-    else:
-        n = max(64, 4 * n_hi) if sup else n_hi
-    while True:
-        if n >= _PROGRESS_AT:
-            _note(f"computing rearrangement prefix, N={n} ...")
-        prefix = sigma_prefix(spec, n)
-        try:
-            return compute(prefix)
-        except PrefixTooShortError as exc:
-            n = max(2 * n, exc.required)
-            if n > _PREFIX_CAP:
-                raise ResourceLimitError(
-                    f"prefix cap {_PREFIX_CAP} exceeded while growing toward "
-                    f"the sup certificate ({exc})"
-                ) from exc
-
-
-def _cmd_width(cfg: RunConfig) -> int:
-    spec = _make_spec(cfg)
-    embedding = Embedding(cfg.embedding)
-    kind = WidthKind(cfg.kind)
-    ns = _parse_int_list(cfg.n)
+def _cmd_width(args: argparse.Namespace) -> int:
+    spec = _make_spec(args)
+    embedding = Embedding(args.embedding)
+    kind = WidthKind(args.kind)
+    ns = _parse_int_list(args.n)
 
     def compute(prefix):
         rows = []
         for n in ns:
-            wv = width(prefix, WidthQuery(embedding, kind, n, p=cfg.p))
+            wv = width(prefix, WidthQuery(embedding, kind, n, p=args.p))
             rows.append([n, wv.lower, wv.upper, wv.exact])
         return rows
 
-    rows = _prefix_with_retry(cfg, spec, max(ns), _needs_sup(embedding, kind), compute)
-    _emit(cfg, ["n", "lower", "upper", "exact"], rows)
+    rows = _prefix_with_retry(
+        spec, max(ns), needs_sup(embedding, kind), args.prefix_n, compute
+    )
+    _emit(args, ["n", "lower", "upper", "exact"], rows)
     return 0
 
 
-def _cmd_converge(cfg: RunConfig) -> int:
-    spec = _make_spec(cfg)
-    embedding = Embedding(cfg.embedding)
-    kind = WidthKind(cfg.kind)
-    grid = _parse_int_list(cfg.n_grid)
+def _cmd_converge(args: argparse.Namespace) -> int:
+    spec = _make_spec(args)
+    embedding = Embedding(args.embedding)
+    kind = WidthKind(args.kind)
+    grid = _parse_int_list(args.n_grid)
 
     def compute(prefix):
         return convergence_table(
-            prefix, embedding, kind, grid, cfg.alpha, cfg.beta, cfg.target,
-            threads=cfg.threads,
+            prefix, embedding, kind, grid, args.alpha, args.beta, args.target
         )
 
-    table = _prefix_with_retry(cfg, spec, max(grid), _needs_sup(embedding, kind), compute)
-    rows = [[r.n, r.raw, r.normalizer, r.ratio, r.target] for r in table.rows]
-    _emit(cfg, ["n", "raw", "normalizer", "ratio", "target"], rows)
-    return 0
-
-
-def _cmd_constants(cfg: RunConfig) -> int:
-    spec = ConstantSpec(
-        cfg.name,
-        s=None if cfg.s is None else _parse_s_float(cfg.s),
-        d=cfg.d,
-        tol=cfg.tol if cfg.tol is not None else 1e-10,
+    table = _prefix_with_retry(
+        spec, max(grid), needs_sup(embedding, kind), args.prefix_n, compute
     )
-    _emit(cfg, ["name", "value"], [[cfg.name, constant(spec)]])
+    rows = [[r.n, r.raw, r.normalizer, r.ratio, r.target] for r in table.rows]
+    _emit(args, ["n", "raw", "normalizer", "ratio", "target"], rows)
     return 0
 
 
-def _cmd_count(cfg: RunConfig) -> int:
-    s_frac = Fraction(cfg.s)
-    grid = _parse_int_list(cfg.r_grid)
+def _cmd_constants(args: argparse.Namespace) -> int:
+    spec = ConstantSpec(
+        args.name,
+        s=None if args.s is None else _parse_s_float(args.s),
+        d=args.d,
+        tol=args.tol if args.tol is not None else 1e-10,
+    )
+    _emit(args, ["name", "value"], [[args.name, constant(spec)]])
+    return 0
+
+
+def _cmd_count(args: argparse.Namespace) -> int:
+    if args.ell is None and args.d is None:
+        raise ValueError("count requires --d (for C) or --ell (for A)")
+    if args.j is not None and args.ell is None:
+        raise ValueError("count --j requires --ell")
+    s_frac = Fraction(args.s)
 
     def row(r: int):
-        if cfg.ell is None:
-            return ["C", cfg.s, r, cfg.d, None, None, count_C(s_frac, r, cfg.d)]
-        if cfg.j is None:
-            return ["A", cfg.s, r, cfg.ell, None, None, count_A(s_frac, r, cfg.ell)]
-        if cfg.r_ell is None or cfg.r_ell == "auto":
-            r_ell = max(1, math.floor(r ** lambda_split_exponent(s_frac, cfg.ell)))
+        if args.ell is None:
+            return ["C", args.s, r, args.d, None, None, count_C(s_frac, r, args.d)]
+        if args.j is None:
+            return ["A", args.s, r, args.ell, None, None, count_A(s_frac, r, args.ell)]
+        if args.r_ell is None or args.r_ell == "auto":
+            r_ell = split_cut(s_frac, r, args.ell)
         else:
-            r_ell = int(cfg.r_ell)
-        cnt = count_A_split(s_frac, r, cfg.ell, cfg.j, r_ell)
-        return ["A-split", cfg.s, r, cfg.ell, cfg.j, r_ell, cnt]
+            r_ell = int(args.r_ell)
+        cnt = count_A_split(s_frac, r, args.ell, args.j, r_ell)
+        return ["A-split", args.s, r, args.ell, args.j, r_ell, cnt]
 
-    rows = _ordered_map(row, grid, cfg.threads)
-    _emit(cfg, ["kind", "s", "r", "dim", "j", "r_ell", "count"], rows)
+    rows = [row(r) for r in _parse_int_list(args.r_grid)]
+    _emit(args, ["kind", "s", "r", "dim", "j", "r_ell", "count"], rows)
     return 0
 
 
-def _cmd_appendix_verify(cfg: RunConfig) -> int:
-    s_frac = Fraction(cfg.s)
-    grid = _parse_int_list(cfg.r_grid)
-    tol = cfg.tol if cfg.tol is not None else 1e-10
-    report = verify_appendix_limits(s_frac, cfg.d, grid, tol=tol, threads=cfg.threads)
+def _cmd_appendix_verify(args: argparse.Namespace) -> int:
+    s_frac = Fraction(args.s)
+    grid = _parse_int_list(args.r_grid)
+    tol = args.tol if args.tol is not None else 1e-10
+    report = verify_appendix_limits(s_frac, args.d, grid, tol=tol)
     rows = []
     for row in report.rows:
         rows.append(
@@ -360,36 +286,27 @@ def _cmd_appendix_verify(cfg: RunConfig) -> int:
                 [section, row.r, cell.ell, cell.j, cell.r_ell, cell.count,
                  cell.ratio, cell.target, None]
             )
-    if cfg.sandwich_r:
-        for r in _parse_int_list(cfg.sandwich_r):
-            ok = sandwich_check(s_frac, cfg.d, r)
+    if args.sandwich_r:
+        for r in _parse_int_list(args.sandwich_r):
+            ok = sandwich_check(s_frac, args.d, r)
             rows.append(["sandwich", r, None, None, None, None, None, None, ok])
     _emit(
-        cfg,
+        args,
         ["section", "r", "ell", "j", "r_ell", "count", "ratio", "target", "ok"],
         rows,
     )
     return 0
 
 
-def _cmd_integral(cfg: RunConfig) -> int:
-    s = _parse_s_float(cfg.s)
+def _cmd_integral(args: argparse.Namespace) -> int:
+    s = _parse_s_float(args.s)
     limit = 1.0 / (s + 1.0)
     rows = []
-    for n in _parse_int_list(cfg.n_grid):
-        val = aux_integral(s, cfg.beta, cfg.a, n)
+    for n in _parse_int_list(args.n_grid):
+        val = aux_integral(s, args.beta, args.a, n)
         rows.append([n, val, limit, abs(val - limit)])
-    _emit(cfg, ["n", "value", "limit", "abs_dev"], rows)
+    _emit(args, ["n", "value", "limit", "abs_dev"], rows)
     return 0
-
-
-def _ordered_map(fn, items, threads: int) -> list:
-    if threads > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 _DISPATCH = {
@@ -417,9 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output", help="write to file instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for independent rows "
-                       "(default: WIDTHS_THREADS or cpu count)")
 
     def weight_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--family", required=True,
@@ -498,21 +412,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    data = {k: v for k, v in vars(args).items() if k in fields}
-    data["threads"] = _resolve_threads(data.get("threads"))
-    if data.get("format") is None:
-        data["format"] = "csv"
-    return RunConfig(**data)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        cfg.validate()
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except (CumSumOverflowError, ResourceLimitError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -54,7 +53,6 @@ from .sigma import sigma_prefix
 from .weights import Family, WeightSpec
 
 __all__ = [
-    "CountResult",
     "SplitCell",
     "AppendixRow",
     "AppendixReport",
@@ -62,6 +60,7 @@ __all__ = [
     "count_A",
     "count_A_split",
     "lambda_split_exponent",
+    "split_cut",
     "verify_appendix_limits",
     "sandwich_check",
 ]
@@ -238,17 +237,10 @@ def lambda_split_exponent(s, ell: int) -> float:
     return float(frac - 1) / (2.0 * float(frac) * ell)
 
 
-@dataclass(frozen=True)
-class CountResult:
-    """One count with its decomposition coordinates (CLI row shape)."""
-
-    kind: str  # "C" | "A" | "A-split"
-    s: str  # fraction repr, e.g. "3/2"
-    r: int
-    dim: int  # d for C, ell for A / A-split
-    j: int | None
-    r_ell: int | None
-    count: int
+def split_cut(s, r: int, ell: int) -> int:
+    """The automatic cut r_l = max(1, floor(r^lambda)) at the midpoint
+    exponent lambda = lambda_split_exponent(s, ell)."""
+    return max(1, math.floor(r ** lambda_split_exponent(s, ell)))
 
 
 @dataclass(frozen=True)
@@ -281,15 +273,13 @@ class AppendixReport:
 
 
 def verify_appendix_limits(
-    s, d: int, r_grid: Sequence[int], tol: float = 1e-10, threads: int = 1
+    s, d: int, r_grid: Sequence[int], tol: float = 1e-10
 ) -> AppendixReport:
     """Finite-r ratios of all counts against their proven limits.
 
     For each r in the grid: C(r, d)/r against 2d (2S+1)^(d-1), and for each
     support size l in 2..d with the midpoint cut r_l = floor(r^lambda_l):
     A(r, l) plus the full split A(r, l, j), j = 0..l, each normalized by r.
-    Rows are independent and computed with an order-preserving map, so the
-    report does not depend on the thread count.
     """
     frac = _to_fraction(s)
     if frac <= 1:
@@ -306,8 +296,7 @@ def verify_appendix_limits(
         c = count_C(frac, r, d)
         cells: list[SplitCell] = []
         for ell in range(2, d + 1):
-            lam = lambda_split_exponent(frac, ell)
-            r_ell = max(1, math.floor(r**lam))
+            r_ell = split_cut(frac, r, ell)
             a_total = count_A(frac, r, ell)
             cells.append(SplitCell(ell, None, r_ell, a_total, a_total / r, None))
             for j in range(ell + 1):
@@ -316,12 +305,7 @@ def verify_appendix_limits(
                 cells.append(SplitCell(ell, j, r_ell, cnt, cnt / r, target))
         return AppendixRow(r, c, c / r, tuple(cells))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(row, grid))
-    else:
-        rows = tuple(row(r) for r in grid)
-    return AppendixReport(str(frac), d, S, target_c, rows)
+    return AppendixReport(str(frac), d, S, target_c, tuple(row(r) for r in grid))
 
 
 def sandwich_check(s, d: int, r: int) -> bool:

@@ -39,7 +39,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -64,8 +63,6 @@ __all__ = [
 
 # log-domain tolerance when counting points below a threshold; see count_leq
 _COUNT_LOG_TOL = 1e-12
-
-_LOG_MAX_FLOAT = math.log(sys.float_info.max)
 
 
 class CumSumOverflowError(OverflowError):

@@ -22,11 +22,10 @@ Shared structural properties, relied on by the enumeration kernels in
 ``mixed-inf`` / ``isotropic-inf`` instead of ``r=math.inf``.
 
 Comparisons between lattice points go through ``log_evaluate``, an
-overflow-safe logarithm accurate to ~1e-13 absolute at desk scales.  Two
-points are treated as tied when their canonical keys (sorted |k_i|) agree or
-their log weights differ by less than ``TIE_LOG_TOL``; the parameter ranges
-used in the test suite keep genuinely distinct values separated by much more
-than that band.
+overflow-safe logarithm accurate to ~1e-13 absolute at desk scales.  No tie
+band is applied: the enumeration heap orders orbits by (log weight, canonical
+representative), and ``sigma_prefix`` clamps a one-ulp crossing between that
+log key and the direct evaluation so the values stay exactly nonincreasing.
 
 The isotropic families are evaluatable and enumerable like the others, but
 their width *asymptotics* are not covered by the supported constants;
@@ -41,10 +40,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-# Tie identification band for log-weight comparisons, and the absolute
-# accuracy budget log_evaluate is designed to.
-TIE_LOG_TOL = 1e-12
 
 # Largest tensor the vectorized box evaluation will materialize.
 _MAX_BOX_ELEMENTS = 200_000_000

@@ -60,6 +60,7 @@ __all__ = [
     "WidthValue",
     "PrefixTooShortError",
     "width",
+    "needs_sup",
     "sup_over_h",
     "s_lambda_error",
 ]
@@ -86,6 +87,22 @@ class WidthKind(enum.Enum):
 # kinds sharing the sup formula (u) and the sum formula (v)
 _U_KINDS = (WidthKind.APPROXIMATION, WidthKind.KOLMOGOROV)
 _V_KINDS = (WidthKind.BERNSTEIN, WidthKind.WEYL)
+
+# embeddings whose u-kind widths come from the sup formula (exact or as the
+# lower end of a bracket)
+_SUP_EMBEDDINGS = (
+    Embedding.A_TO_L2,
+    Embedding.A_TO_LINF,
+    Embedding.A_TO_LP,
+    Embedding.CMIX_TO_L2,
+    Embedding.AMIX_TO_H1,
+)
+
+
+def needs_sup(embedding: Embedding, kind: WidthKind) -> bool:
+    """True when ``width`` evaluates this pair through ``sup_over_h``, whose
+    certificate needs a prefix reaching past n."""
+    return kind in _U_KINDS and embedding in _SUP_EMBEDDINGS
 
 
 class PrefixTooShortError(ValueError):

@@ -125,18 +125,6 @@ def test_convergence_table_h1_d1():
     assert abs(t.rows[0].ratio - 2.0) < 0.001 * 2.0
 
 
-def test_convergence_table_threads_deterministic():
-    spec = WeightSpec(Family.MIXED_SR, s=1.5, d=2, r=2.0)
-    p = sigma_prefix(spec, 3000)
-    grid = [10, 30, 100, 300, 700]
-    t1 = convergence_table(p, Embedding.A_TO_A, WidthKind.KOLMOGOROV, grid,
-                           alpha=1.5, beta=1.5, target=1.0, threads=1)
-    t4 = convergence_table(p, Embedding.A_TO_A, WidthKind.KOLMOGOROV, grid,
-                           alpha=1.5, beta=1.5, target=1.0, threads=4)
-    assert [(r.n, r.raw, r.ratio) for r in t1.rows] == \
-           [(r.n, r.raw, r.ratio) for r in t4.rows]
-
-
 def test_convergence_table_validation():
     spec = WeightSpec(Family.MIXED_INF, s=1.0, d=1)
     p = sigma_prefix(spec, 100)

@@ -1,21 +1,16 @@
 import json
-import os
 import subprocess
 import sys
+import time
 
-import pytest
-
-from wienerwidths.cli import RunConfig, main
+from wienerwidths.cli import main
 
 CLI = [sys.executable, "-m", "wienerwidths.cli"]
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          env=env)
+                          timeout=300)
 
 
 def test_sigma_example():
@@ -51,20 +46,19 @@ def test_constants_example():
 
 
 def test_byte_identical_runs_and_threads():
-    args = ["count", "--s", "2", "--d", "2", "--r-grid", "1..40"]
-    a = run_cli(*args, "--threads", "1")
-    b = run_cli(*args, "--threads", "4")
-    c = run_cli(*args, env_extra={"WIDTHS_THREADS": "3"})
-    assert a.returncode == b.returncode == c.returncode == 0
-    assert a.stdout == b.stdout == c.stdout
-
-    args = ["converge", "--family", "mixed-inf", "--s", "1", "--d", "2",
-            "--embedding", "a-to-a", "--kind", "weyl",
-            "--n-grid", "100,1000,10000", "--alpha", "1", "--beta", "1",
-            "--target", "4"]
-    a = run_cli(*args, "--threads", "1")
-    b = run_cli(*args, "--threads", "4")
-    assert a.returncode == 0 and a.stdout == b.stdout
+    count = ["count", "--s", "2", "--d", "2", "--r-grid", "1..40"]
+    converge = ["converge", "--family", "mixed-inf", "--s", "1", "--d", "2",
+                "--embedding", "a-to-a", "--kind", "weyl",
+                "--n-grid", "100,1000,10000", "--alpha", "1", "--beta", "1",
+                "--target", "4"]
+    for args in (count, converge):
+        a = run_cli(*args)
+        b = run_cli(*args)
+        assert a.returncode == b.returncode == 0
+        assert a.stdout == b.stdout
+    out = run_cli(*count, "--threads", "2")
+    assert out.returncode == 2
+    assert "--threads" in out.stderr and out.stdout == ""
 
 
 def test_output_file_and_json(tmp_path):
@@ -124,7 +118,8 @@ def test_exit_code_domain_error():
     assert out.returncode == 2
     assert "requires s>1" in out.stderr
     out = run_cli("count", "--s", "2", "--r-grid", "1..5")
-    assert out.returncode == 2  # needs --d or --ell
+    assert out.returncode == 2
+    assert "count requires --d (for C) or --ell (for A)" in out.stderr
 
 
 def test_exit_code_resource_cap():
@@ -145,26 +140,40 @@ def test_appendix_verify_smoke():
     assert all(l.endswith("true") for l in sandwich)
 
 
-def test_runconfig_roundtrip():
-    cfg = RunConfig(command="width", family="mixed-sr", s="1.5", r="2", d=2,
-                    n="1..10", embedding="a-to-l2", kind="weyl", threads=2,
-                    format="json")
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
-    blob = json.dumps(cfg.to_dict())
-    assert RunConfig.from_dict(json.loads(blob)) == cfg
+def test_usage_errors_exit_2():
+    cases = [
+        (["nope"], "invalid choice"),
+        (["width", "--family", "mixed-inf", "--s", "1", "--d", "1",
+          "--n", "1..5", "--embedding", "a-to-a"], "--kind"),
+        (["sigma", "--family", "mixed-inf", "--s", "1", "--d", "1", "--n", "5",
+          "--format", "xml"], "invalid choice"),
+        (["count", "--s", "2", "--r-grid", "1..5", "--d", "2", "--j", "1"],
+         "count --j requires --ell"),
+    ]
+    for argv, message in cases:
+        out = run_cli(*argv)
+        assert out.returncode == 2, argv
+        assert message in out.stderr, (argv, out.stderr)
+        assert out.stdout == ""
 
 
-def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig(command="nope").validate()
-    with pytest.raises(ValueError):
-        RunConfig(command="width", family="mixed-inf", s="1", d=1,
-                  n="1..5", embedding="a-to-a").validate()  # kind missing
-    with pytest.raises(ValueError):
-        RunConfig(command="sigma", family="mixed-inf", s="1", d=1, n="5",
-                  format="xml").validate()
-    cfg = RunConfig(command="sigma", family="mixed-inf", s="1", d=1, n="5")
-    cfg.validate()
+def test_prefix_cap_refused_before_enumeration():
+    weight = ["--family", "mixed-inf", "--s", "1", "--d", "2"]
+    width_args = ["width", *weight, "--embedding", "a-to-l2",
+                  "--kind", "approximation"]
+    cases = [
+        ["sigma", *weight, "--n", "4e7"],
+        [*width_args, "--n", "4e7"],
+        [*width_args, "--n", "1..40000000"],
+        [*width_args, "--n", "5", "--prefix-n", "40000000"],
+    ]
+    for argv in cases:
+        start = time.monotonic()
+        out = run_cli(*argv)
+        assert out.returncode == 3, argv
+        assert "prefix cap" in out.stderr
+        assert out.stdout == ""
+        assert time.monotonic() - start < 30
 
 
 def test_main_returns_int():

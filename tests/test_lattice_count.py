@@ -17,6 +17,7 @@ from wienerwidths import (
     sandwich_check,
     verify_appendix_limits,
 )
+from wienerwidths.lattice_count import split_cut
 
 
 def test_count_examples():
@@ -103,6 +104,9 @@ def test_lambda_split_exponent():
                                1.0 / 18.0, rtol=1e-15)
     with pytest.raises(ValueError):
         lambda_split_exponent(1, 2)
+    # cut floor(r^(1/8)): 255^(1/8) < 2 <= 256^(1/8), and never below 1
+    assert split_cut(2, 255, 2) == 1
+    assert split_cut(2, 256, 2) == 2
 
 
 def test_argument_validation():
@@ -144,16 +148,6 @@ def test_appendix_report_shapes_and_trend():
         # decomposition recomposes inside the report too
         total = [c for c in row.cells if c.j is None][0]
         assert sum(comb(c.ell, c.j) * c.count for c in split_cells) == total.count
-
-
-def test_appendix_threads_deterministic():
-    r1 = verify_appendix_limits(2, 3, [10, 20, 40], threads=1)
-    r4 = verify_appendix_limits(2, 3, [10, 20, 40], threads=4)
-    flat1 = [(row.r, row.count_c, [ (c.ell, c.j, c.count) for c in row.cells])
-             for row in r1.rows]
-    flat4 = [(row.r, row.count_c, [ (c.ell, c.j, c.count) for c in row.cells])
-             for row in r4.rows]
-    assert flat1 == flat4
 
 
 def test_fractional_s_stays_exact():

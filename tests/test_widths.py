@@ -15,6 +15,8 @@ from wienerwidths import (
     sup_over_h,
     width,
 )
+from wienerwidths import widths as widths_mod
+from wienerwidths.widths import needs_sup
 
 ALL_KINDS = list(WidthKind)
 U_KINDS = [WidthKind.APPROXIMATION, WidthKind.KOLMOGOROV]
@@ -164,6 +166,29 @@ def test_cmix_values_d1():
     l2 = width(p, WidthQuery(Embedding.A_TO_L2, WidthKind.APPROXIMATION, 2)).value
     assert b.lower == l2
     np.testing.assert_allclose(b.upper, 2 ** 0.5 * p.sigma(2), rtol=1e-15)
+
+
+def test_needs_sup_matches_width_dispatch(monkeypatch):
+    # the predicate the CLI sizes prefixes by must agree with the dispatch
+    h1 = sigma_prefix(WeightSpec(Family.H1_RATIO, s=2.0, d=1), 800)
+    cmix = sigma_prefix(WeightSpec(Family.MIXED_SR, s=1.0, d=1, r=2.0), 800)
+    plain = sigma_prefix(WeightSpec(Family.MIXED_INF, s=1.0, d=1), 800)
+    prefixes = {Embedding.HMIX_TO_H1: h1, Embedding.AMIX_TO_H1: h1,
+                Embedding.CMIX_TO_L2: cmix}
+    calls = []
+    real = widths_mod.sup_over_h
+
+    def counting(prefix, n):
+        calls.append(n)
+        return real(prefix, n)
+
+    monkeypatch.setattr(widths_mod, "sup_over_h", counting)
+    for emb in Embedding:
+        for kind in ALL_KINDS:
+            calls.clear()
+            p = 4.0 if emb is Embedding.A_TO_LP else None
+            width(prefixes.get(emb, plain), WidthQuery(emb, kind, 3, p=p))
+            assert bool(calls) == needs_sup(emb, kind), (emb, kind)
 
 
 def test_h1_embeddings_require_h1_weight():
