@@ -14,13 +14,15 @@ for the same data as one JSON object):
 Floats print with 17 significant digits and '.' decimal separator; output
 is byte-identical across runs.  Progress notes, if any, go to stderr.
 Prefix lengths above 30,000,000 are refused before any enumeration.
-Exit codes: 0 success, 2 domain/usage error, 3 resource cap.
+Exit codes: 0 success, 1 stdout closed early (broken pipe), 2 domain/usage
+error, 3 resource cap.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -415,7 +417,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `| head`).  Point stdout at devnull
+        # so the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (CumSumOverflowError, ResourceLimitError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -28,17 +28,22 @@ Exactness: membership omega(k) <= (1+r^2)^((s-1)/2) is equivalent to
 
     prod (1+k_i^2)^s  <=  (1+r^2)^(s-1) (1 + sum k_i^2),
 
-so for rational s = p/q both sides become integers after raising to the
-q-th power; the comparison runs in arbitrary-precision integers.  Floats
-given as decimals ("1.5", 2.0) resolve to small fractions; anything with a
-large denominator falls back to guarded log-domain comparison and warns
-when a comparison lands inside the guard band.
+and for rational s = p/q, after raising both sides to the q-th power, to
+an inequality between integers.  One depth-first search counts every C, A
+and A-split: it compares in the log domain, and a comparison that lands
+inside a guard band wide enough to cover its float rounding is settled
+another way.  A point with at most one nonzero coordinate m is a member
+exactly when m <= r.  Otherwise, when s has denominator at most 64, the
+integer inequality decides, so those counts are exact.  Floats given as
+decimals ("1.5", 2.0) resolve to small fractions.  For a larger
+denominator the point counts as a member, and a warning reports how many
+points were decided that way.
 
 Every point with omega(k) <= (1+r^2)^((s-1)/2) has |k_j| <= r (drop the
 other coordinates and compare), so the search space is the box of radius r;
-the depth-first scans below also abandon a branch as soon as the partial
-point with remaining coordinates at their minimum already fails, which
-keeps the work proportional to the count.
+the search also abandons a branch as soon as the partial point with
+remaining coordinates at their minimum already fails, which keeps the work
+proportional to the count.
 """
 from __future__ import annotations
 
@@ -65,160 +70,131 @@ __all__ = [
     "sandwich_check",
 ]
 
-# Fractions with denominators beyond this are treated as irrational and
-# counted through the guarded float path.
+# Fractions with denominators beyond this are treated as irrational: a
+# guard-band comparison is not settled in integers but warned about.
 _EXACT_DENOMINATOR_CAP = 64
 
-# Half-width of the log-domain guard band on the float path.
+# Least half-width of the log-domain guard band.
 _FLOAT_GUARD = 1e-9
 
 
-def _to_fraction(s) -> Fraction:
+def _smoothness(s) -> Fraction:
+    """s as an exact fraction, refused unless s > 1."""
     if isinstance(s, Fraction):
-        return s
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
-        return Fraction(s)
-    if isinstance(s, float):
+        frac = s
+    elif isinstance(s, (int, str)):
+        frac = Fraction(s)
+    elif isinstance(s, float):
         # decimal reading: 1.5 -> 3/2, not the binary expansion
-        return Fraction(str(s))
-    raise TypeError(f"cannot interpret smoothness parameter {s!r}")
-
-
-def _validate_sr(s, r: int) -> Fraction:
-    frac = _to_fraction(s)
+        frac = Fraction(str(s))
+    else:
+        raise TypeError(f"cannot interpret smoothness parameter {s!r}")
     if frac <= 1:
         raise ValueError("requires s>1")
-    if not (isinstance(r, int) and r >= 1):
-        raise ValueError(f"r must be a positive integer, got {r!r}")
     return frac
 
 
-def _count_exact(
-    p: int, q: int, r: int, ranges: list[tuple[int, int]], signed: bool
-) -> int:
-    """Count points k in prod [lo_i, hi_i] with
-    prod (1+k_i^2)^p <= (1+r^2)^(p-q) (1+sum k_i^2)^q, exactly.
+def _require_positive(name: str, value) -> None:
+    if not (isinstance(value, int) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _count(s, r: int, ranges: list[tuple[int, int]], signed: bool) -> int:
+    """Count points k in prod [lo_i, hi_i] (all hi_i <= r) with
+    omega(k) <= (1+r^2)^((s-1)/2).
 
     With signed=True each nonzero coordinate contributes a factor 2
     (the ranges then describe |k_i|).
     """
-    dims = len(ranges)
-    if dims == 0:
-        return 1
-    rhs_c = (1 + r * r) ** (p - q)
-    max_hi = max(hi for _, hi in ranges)
-    pw = [(1 + v * v) ** p for v in range(max_hi + 1)]
-    # minimal completion of a branch: remaining coordinates at their lows
-    suf_pw = [1] * (dims + 1)
-    suf_sq = [0] * (dims + 1)
-    for j in reversed(range(dims)):
-        lo = ranges[j][0]
-        if lo > ranges[j][1]:
-            return 0  # an empty coordinate range empties the product set
-        suf_pw[j] = suf_pw[j + 1] * pw[lo]
-        suf_sq[j] = suf_sq[j + 1] + lo * lo
-    last = dims - 1
-
-    def rec(j: int, prod: int, sq: int, mult: int) -> int:
-        lo, hi = ranges[j]
-        spw = suf_pw[j + 1]
-        ssq = suf_sq[j + 1]
-        total = 0
-        for m in range(lo, hi + 1):
-            pr = prod * pw[m]
-            s2 = sq + m * m
-            if pr * spw > rhs_c * (1 + s2 + ssq) ** q:
-                break  # monotone in m: larger m only fail harder
-            mm = mult * (2 if (signed and m) else 1)
-            total += mm if j == last else rec(j + 1, pr, s2, mm)
-        return total
-
-    return rec(0, 1, 0, 1)
-
-
-def _count_float(
-    s: float, r: int, ranges: list[tuple[int, int]], signed: bool
-) -> int:
-    """Guarded log-domain fallback for irrational s."""
-    dims = len(ranges)
-    if dims == 0:
-        return 1
-    log_rhs = (s - 1.0) * math.log1p(r * r)
-    max_hi = max(hi for _, hi in ranges)
-    lpw = [s * math.log1p(v * v) for v in range(max_hi + 1)]
+    frac = _smoothness(s)
+    _require_positive("r", r)
     for lo, hi in ranges:
         if lo > hi:
-            return 0
+            return 0  # an empty coordinate range empties the product set
+    p, q = frac.numerator, frac.denominator
+    sf = float(frac)
+    dims = len(ranges)
+    log1p = math.log1p
+    log_r = log1p(r * r)
+    log_rhs = (sf - 1.0) * log_r
+    lpw = [sf * log1p(v * v) for v in range(max(hi for _, hi in ranges) + 1)]
+    # Band width: a comparison adds up dims + 2 float terms, the
+    # s log(1+k_i^2), log(1+|k|^2) and (s-1) log(1+r^2), so no partial sum
+    # exceeds M = sum_i s log(1+k_i^2) + log(1+|k|^2) + s log(1+r^2).
+    # Each term is off by at most 5 2^-53 of its share of M (log1p to one
+    # ulp, the product and the rounding of s to half an ulp each), and the
+    # at most dims + 3 roundings of sums add 2^-53 M each, so the computed
+    # difference is within (dims + 8) 2^-53 M < 1e-12 M of the exact one
+    # for dims < 9000.  As |k_i| <= r, big_m bounds M over the whole search.
+    big_m = (dims + 1) * sf * log_r + log_r + math.log(dims)
+    band = max(_FLOAT_GUARD, 1e-12 * big_m)
+    low = -band
+    # minimal completion of a branch: remaining coordinates at their lows
+    point = [lo for lo, _ in ranges]
     suf_lw = [0.0] * (dims + 1)
     suf_sq = [0] * (dims + 1)
     for j in reversed(range(dims)):
-        lo = ranges[j][0]
-        suf_lw[j] = suf_lw[j + 1] + lpw[lo]
-        suf_sq[j] = suf_sq[j + 1] + lo * lo
+        suf_lw[j] = suf_lw[j + 1] + lpw[point[j]]
+        suf_sq[j] = suf_sq[j + 1] + point[j] * point[j]
     last = dims - 1
     ambiguous = 0
 
-    def rec(j: int, acc: float, sq: int, mult: int) -> int:
+    def member(leaf: bool) -> bool:
+        """Membership of `point`, whose comparison fell inside the band."""
+        nonzero = [v for v in point if v]
+        if len(nonzero) <= 1:
+            return max(point) <= r  # omega(m e_1) = (1+m^2)^((s-1)/2)
+        if q <= _EXACT_DENOMINATOR_CAP:
+            lhs = math.prod((1 + v * v) ** p for v in nonzero)
+            sq = sum(v * v for v in nonzero)
+            return lhs <= (1 + r * r) ** (p - q) * (1 + sq) ** q
         nonlocal ambiguous
+        if leaf:  # elsewhere a guess only keeps a branch open
+            ambiguous += 2 ** len(nonzero) if signed else 1
+        return True
+
+    def rec(j: int, acc: float, sq: int, mult: int) -> int:
         lo, hi = ranges[j]
-        slw = suf_lw[j + 1]
+        off = suf_lw[j + 1] - log_rhs
         ssq = suf_sq[j + 1]
         total = 0
         for m in range(lo, hi + 1):
+            point[j] = m
             ac = acc + lpw[m]
             s2 = sq + m * m
-            diff = ac + slw - math.log1p(s2 + ssq) - log_rhs
-            if abs(diff) < _FLOAT_GUARD:
-                ambiguous += 1
-            if diff > _FLOAT_GUARD:
-                break
+            diff = ac + off - log1p(s2 + ssq)
+            if diff > low and (diff >= band or not member(j == last)):
+                break  # monotone in m: larger m only fail harder
             mm = mult * (2 if (signed and m) else 1)
             total += mm if j == last else rec(j + 1, ac, s2, mm)
+        point[j] = lo
         return total
 
     out = rec(0, 0.0, 0, 1)
     if ambiguous:
         warnings.warn(
-            f"{ambiguous} threshold comparisons fell inside the {_FLOAT_GUARD:g} "
+            f"{ambiguous} threshold comparisons fell inside the {band:g} "
             "guard band; the count may be off by that many points",
             stacklevel=3,
         )
     return out
 
 
-def _count(s, r: int, ranges: list[tuple[int, int]], signed: bool) -> int:
-    frac = _validate_sr(s, r)
-    if frac.denominator <= _EXACT_DENOMINATOR_CAP:
-        return _count_exact(frac.numerator, frac.denominator, r, ranges, signed)
-    return _count_float(float(frac), r, ranges, signed)
-
-
-def count_C(s, r: int, d: int, box_radius: int | None = None) -> int:
-    """C(r, d): signed lattice points with omega(k) <= (1+r^2)^((s-1)/2).
-
-    box_radius widens the scanned box past the proven bound |k_j| <= r
-    (the count must not change; exposed so tests can confirm that)."""
-    if not (isinstance(d, int) and d >= 1):
-        raise ValueError(f"d must be a positive integer, got {d!r}")
-    hi = r if box_radius is None else int(box_radius)
-    if hi < r:
-        raise ValueError("box_radius below the proven bound r would truncate")
-    return _count(s, r, [(0, hi)] * d, signed=True)
+def count_C(s, r: int, d: int) -> int:
+    """C(r, d): signed lattice points with omega(k) <= (1+r^2)^((s-1)/2)."""
+    _require_positive("d", d)
+    return _count(s, r, [(0, r)] * d, signed=True)
 
 
 def count_A(s, r: int, ell: int) -> int:
     """A(r, l): all-positive points k in N^l below the threshold."""
-    if not (isinstance(ell, int) and ell >= 1):
-        raise ValueError(f"ell must be a positive integer, got {ell!r}")
+    _require_positive("ell", ell)
     return _count(s, r, [(1, r)] * ell, signed=False)
 
 
 def count_A_split(s, r: int, ell: int, j: int, r_ell: int) -> int:
     """A(r, l, j): positive points with k_1..k_j <= r_l < k_{j+1}..k_l."""
-    if not (isinstance(ell, int) and ell >= 1):
-        raise ValueError(f"ell must be a positive integer, got {ell!r}")
+    _require_positive("ell", ell)
     if not (isinstance(j, int) and 0 <= j <= ell):
         raise ValueError(f"j must lie in 0..ell, got {j!r}")
     if not (isinstance(r_ell, int) and 1 <= r_ell <= r):
@@ -229,11 +205,8 @@ def count_A_split(s, r: int, ell: int, j: int, r_ell: int) -> int:
 
 def lambda_split_exponent(s, ell: int) -> float:
     """Midpoint cut exponent: half of the admissible ceiling (s-1)/(s l)."""
-    frac = _to_fraction(s)
-    if frac <= 1:
-        raise ValueError("requires s>1")
-    if not (isinstance(ell, int) and ell >= 1):
-        raise ValueError(f"ell must be a positive integer, got {ell!r}")
+    frac = _smoothness(s)
+    _require_positive("ell", ell)
     return float(frac - 1) / (2.0 * float(frac) * ell)
 
 
@@ -281,11 +254,8 @@ def verify_appendix_limits(
     support size l in 2..d with the midpoint cut r_l = floor(r^lambda_l):
     A(r, l) plus the full split A(r, l, j), j = 0..l, each normalized by r.
     """
-    frac = _to_fraction(s)
-    if frac <= 1:
-        raise ValueError("requires s>1")
-    if not (isinstance(d, int) and d >= 1):
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    frac = _smoothness(s)
+    _require_positive("d", d)
     grid = [int(r) for r in r_grid]
     if not grid or any(r < 1 for r in grid):
         raise ValueError("r_grid entries must be >= 1")
@@ -318,11 +288,11 @@ def sandwich_check(s, d: int, r: int) -> bool:
     Both endpoints are attained (threshold points exist on the axes), so the
     float comparison carries a 1e-9 relative guard.
     """
-    frac = _validate_sr(s, r)
+    frac = _smoothness(s)
+    _require_positive("r", r)
     if r < 2:
         raise ValueError("requires r >= 2 (the lower threshold uses r-1)")
-    if not (isinstance(d, int) and d >= 1):
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    _require_positive("d", d)
     c_lo = count_C(frac, r - 1, d)
     c_hi = count_C(frac, r, d)
     sf = float(frac)

@@ -176,5 +176,19 @@ def test_prefix_cap_refused_before_enumeration():
         assert time.monotonic() - start < 30
 
 
+def test_closed_stdout_exits_1_quietly():
+    # the reader stops after one line, like `| head -1`
+    proc = subprocess.Popen(
+        CLI + ["sigma", "--family", "mixed-inf", "--s", "1", "--d", "1",
+               "--n", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.stdout.readline() == "n,sigma,cum_inv_sq\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 1
+    assert "Traceback" not in err
+
+
 def test_main_returns_int():
     assert main(["constants", "--name", "transfer-vw", "--s", "1"]) == 0

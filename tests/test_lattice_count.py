@@ -1,10 +1,13 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wienerwidths import (
     Family,
@@ -35,21 +38,67 @@ def test_count_d1_closed_forms():
             assert count_A(s, r, 1) == r
 
 
+def _scan_C(s: Fraction, r: int, d: int) -> int:
+    """Independent oracle: scan the full signed box and test the membership
+    inequality in exact integer arithmetic."""
+    s_num, s_den = s.numerator, s.denominator
+    rhs_c = (1 + r * r) ** (s_num - s_den)
+    brute = 0
+    for k in itertools.product(range(-r, r + 1), repeat=d):
+        prod = 1
+        for v in k:
+            prod *= (1 + v * v) ** s_num
+        if prod <= rhs_c * (1 + sum(v * v for v in k)) ** s_den:
+            brute += 1
+    return brute
+
+
 def test_count_matches_direct_grid():
-    # independent oracle: scan the full signed box and test the membership
-    # inequality in exact integer arithmetic
     for s_num, s_den in [(2, 1), (3, 2), (3, 1)]:
         s = Fraction(s_num, s_den)
         for r, d in [(3, 2), (5, 2), (4, 3)]:
-            rhs_c = (1 + r * r) ** (s_num - s_den)
-            brute = 0
-            for k in itertools.product(range(-r, r + 1), repeat=d):
-                prod = 1
-                for v in k:
-                    prod *= (1 + v * v) ** s_num
-                if prod <= rhs_c * (1 + sum(v * v for v in k)) ** s_den:
-                    brute += 1
-            assert count_C(s, r, d) == brute
+            assert count_C(s, r, d) == _scan_C(s, r, d)
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(
+    s=st.integers(1, 100).flatmap(
+        lambda q: st.integers(q + 1, 4 * q).map(lambda p: Fraction(p, q))
+    ),
+    d=st.integers(1, 3),
+    r=st.integers(1, 8),
+)
+def test_count_matches_direct_grid_any_denominator(s, d, r):
+    # s = p/q on both sides of the exact-denominator cap (64): below it no
+    # guard-band warning is raised and the count is exact; above it a
+    # warning bounds how far the count may be off
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = count_C(s, r, d)
+    reported = sum(int(str(w.message).split()[0]) for w in caught
+                   if "guard band" in str(w.message))
+    assert s.denominator > 64 or not caught
+    assert abs(got - _scan_C(s, r, d)) <= reported
+
+
+def test_guard_band_warnings():
+    # the axis points (r, 0) and (0, r) sit on the threshold for every s;
+    # they are members by m <= r, not guard-band guesses.  At s = 2 the
+    # point (1, r/2) lies 1/r^2 inside it in the log domain, within the band
+    # at r = 40000; the integer test settles it, again without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = [count_C("1.2345678", r, 2) for r in range(3, 7)]
+        count_C(2, 40000, 2)
+    assert counts == [13, 21, 25, 29]
+    # each s rounds a root of 4^s = 3 * 5^(s-1) (the point (1, 1) at r = 2)
+    # or of 10^s = 6 * 17^(s-1) ((1, 2) at r = 4) to 16 digits, too fine a
+    # denominator to settle in integers: the orbit is counted, and its
+    # 4 (d = 2) or 24 (d = 3) points reported
+    for s, r, d, count, reported in [("2.289224226994103", 2, 2, 13, 4),
+                                     ("1.962680789693084", 4, 3, 69, 24)]:
+        with pytest.warns(UserWarning, match=f"^{reported} threshold "):
+            assert count_C(s, r, d) == count
 
 
 def test_c_decomposition_identity():
@@ -79,22 +128,14 @@ def test_a_split_partition_identity():
                     assert parts == total
 
 
-def test_box_radius_invariance():
-    for s in (2, Fraction(3, 2)):
-        for r, d in [(4, 2), (9, 3)]:
-            base = count_C(s, r, d)
-            assert count_C(s, r, d, box_radius=r + 1) == base
-            assert count_C(s, r, d, box_radius=r + 5) == base
-    with pytest.raises(ValueError):
-        count_C(2, 5, 2, box_radius=4)
-
-
 def test_count_consistent_with_threshold_count():
-    # same quantity through the weight-threshold counter
-    for s, d in [(2, 2), (2, 3), (3, 2)]:
+    # same quantity through the weight-threshold counter, which scans no
+    # box, so agreement also confirms the proven bound |k_j| <= r that
+    # limits count_C's search
+    for s, d in [(2, 2), (2, 3), (3, 2), (Fraction(3, 2), 2), (Fraction(3, 2), 3)]:
         spec = WeightSpec(Family.H1_RATIO, s=float(s), d=d)
-        for r in (1, 2, 5, 11):
-            t = (1.0 + r * r) ** ((s - 1) / 2.0)
+        for r in (1, 2, 4, 5, 9, 11):
+            t = (1.0 + r * r) ** ((float(s) - 1) / 2.0)
             assert count_C(s, r, d) == count_leq(spec, t)
 
 
