@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .sigma import SigmaPrefix
 from .widths import Embedding, WidthKind, WidthQuery, width
@@ -243,6 +242,7 @@ def aux_integral(s: float, beta: float, a: float, n: float) -> float:
         raise ValueError("requires a > 1 (the lower endpoint must keep ln(yn) > 0)")
     if not n > a:
         raise ValueError("requires n > a")
+    from scipy.integrate import quad  # the only scipy use; keeps imports light
     ln_n = math.log(n)
 
     def f(y: float) -> float:

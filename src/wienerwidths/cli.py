@@ -1,7 +1,7 @@
 """Command-line interface: batch tables for every library operation.
 
-Subcommands and their output columns (CSV by default, ``--format json``
-for the same data as one JSON object):
+Each subcommand returns its (columns, rows) table and ``main`` writes it,
+as CSV or (``--format json``) as one JSON object.  The columns are:
 
     sigma            n, sigma, cum_inv_sq [, sigma_oracle]
     width            n, lower, upper, exact
@@ -12,7 +12,10 @@ for the same data as one JSON object):
     integral         n, value, limit, abs_dev
 
 Floats print with 17 significant digits and '.' decimal separator; output
-is byte-identical across runs.  Progress notes, if any, go to stderr.
+is byte-identical across runs.  Rows stream out a block at a time (``sigma``
+converts its prefix arrays block by block), so peak memory is the prefix,
+16 bytes per row, plus one block; rows that can fail are all computed before
+the first byte.  Integers may be spelled 1.5e5.  Progress notes go to stderr.
 Prefix lengths above 30,000,000 are refused before any enumeration.
 Exit codes: 0 success, 1 stdout closed early (broken pipe), 2 domain/usage
 error, 3 resource cap.
@@ -21,11 +24,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .asymptotics import (
     CONSTANT_NAMES,
@@ -43,12 +47,7 @@ from .lattice_count import (
     split_cut,
     verify_appendix_limits,
 )
-from .sigma import (
-    CumSumOverflowError,
-    SigmaPrefix,
-    sigma_bruteforce,
-    sigma_prefix,
-)
+from .sigma import SigmaPrefix, sigma_bruteforce, sigma_prefix
 from .weights import Family, WeightSpec
 from .widths import (
     Embedding,
@@ -63,9 +62,23 @@ __all__ = ["main"]
 
 _PREFIX_CAP = 30_000_000
 _PROGRESS_AT = 1_000_000
+_BLOCK = 65_536  # rows per output block
+
+Table = tuple[Sequence[str], Iterable[Sequence]]
 
 
 # -- parsing helpers ---------------------------------------------------------
+
+
+def _parse_int(text: str) -> int:
+    """An integer, exact at any length, or an integral float such as 1.5e5."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(value)
 
 
 def _parse_int_list(text: str) -> Sequence[int]:
@@ -78,9 +91,9 @@ def _parse_int_list(text: str) -> Sequence[int]:
         part = part.strip()
         if ".." in part:
             lo, hi = part.split("..")
-            parts.append(range(int(float(lo)), int(float(hi)) + 1))
+            parts.append(range(_parse_int(lo), _parse_int(hi) + 1))
         elif part:
-            parts.append([int(float(part))])
+            parts.append([_parse_int(part)])
     if not any(parts):
         raise ValueError(f"empty grid: {text!r}")
     return parts[0] if len(parts) == 1 else [n for p in parts for n in p]
@@ -115,26 +128,25 @@ def _fmt_cell(x) -> str:
     return str(x)
 
 
-def _emit(args: argparse.Namespace, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
-    if args.format == "json":
-        payload = {
-            "command": args.command,
-            "columns": list(columns),
-            "rows": [list(row) for row in rows],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return
+def _emit(args: argparse.Namespace, columns: Sequence[str], rows: Iterable) -> None:
+    """Write the table to --output or the current stdout, a block at a time.
+
+    Each JSON block is dumped as ``[block]`` with its outer brackets sliced
+    off, so a table with rows is ``json.dumps(payload, indent=2) + "\\n"``."""
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt_cell(x) for x in row])
+        if args.format == "csv":
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([_fmt_cell(x) for x in row] for row in rows)
+            return
+        head = {"command": args.command, "columns": list(columns), "rows": []}
+        out.write(json.dumps(head, indent=2)[:-3])  # ends with '"rows": ['
+        rows = iter(rows)
+        blocks = iter(lambda: list(itertools.islice(rows, _BLOCK)), [])
+        for i, block in enumerate(blocks):
+            out.write((",\n" if i else "\n") + json.dumps([block], indent=2)[6:-6])
+        out.write("\n  ]\n}\n")
     finally:
         if args.output:
             out.close()
@@ -176,28 +188,26 @@ def _prefix_with_retry(
 # -- subcommands -------------------------------------------------------------
 
 
-def _cmd_sigma(args: argparse.Namespace) -> int:
+def _cmd_sigma(args: argparse.Namespace) -> Table:
     spec = _make_spec(args)
-    n_max = int(float(args.n))
+    n_max = _parse_int(args.n)
     if n_max < 1:
         raise ValueError("--n must be >= 1")
     prefix = _prefix(spec, n_max)
     columns = ["n", "sigma", "cum_inv_sq"]
-    oracle = None
+    arrays = [prefix.values, prefix.cum_inv_sq]
     if args.check_box_radius is not None:
-        oracle = sigma_bruteforce(spec, n_max, args.check_box_radius)
+        arrays.append(sigma_bruteforce(spec, n_max, args.check_box_radius).values)
         columns.append("sigma_oracle")
-    rows = []
-    for i in range(n_max):
-        row = [i + 1, float(prefix.values[i]), float(prefix.cum_inv_sq[i])]
-        if oracle is not None:
-            row.append(float(oracle.values[i]))
-        rows.append(row)
-    _emit(args, columns, rows)
-    return 0
+    blocks = (
+        zip(range(lo + 1, min(lo + _BLOCK, n_max) + 1),
+            *(a[lo:lo + _BLOCK].tolist() for a in arrays))
+        for lo in range(0, n_max, _BLOCK)
+    )
+    return columns, itertools.chain.from_iterable(blocks)
 
 
-def _cmd_width(args: argparse.Namespace) -> int:
+def _cmd_width(args: argparse.Namespace) -> Table:
     spec = _make_spec(args)
     embedding = Embedding(args.embedding)
     kind = WidthKind(args.kind)
@@ -213,11 +223,10 @@ def _cmd_width(args: argparse.Namespace) -> int:
     rows = _prefix_with_retry(
         spec, max(ns), needs_sup(embedding, kind), args.prefix_n, compute
     )
-    _emit(args, ["n", "lower", "upper", "exact"], rows)
-    return 0
+    return ["n", "lower", "upper", "exact"], rows
 
 
-def _cmd_converge(args: argparse.Namespace) -> int:
+def _cmd_converge(args: argparse.Namespace) -> Table:
     spec = _make_spec(args)
     embedding = Embedding(args.embedding)
     kind = WidthKind(args.kind)
@@ -232,22 +241,20 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         spec, max(grid), needs_sup(embedding, kind), args.prefix_n, compute
     )
     rows = [[r.n, r.raw, r.normalizer, r.ratio, r.target] for r in table.rows]
-    _emit(args, ["n", "raw", "normalizer", "ratio", "target"], rows)
-    return 0
+    return ["n", "raw", "normalizer", "ratio", "target"], rows
 
 
-def _cmd_constants(args: argparse.Namespace) -> int:
+def _cmd_constants(args: argparse.Namespace) -> Table:
     spec = ConstantSpec(
         args.name,
         s=None if args.s is None else _parse_s_float(args.s),
         d=args.d,
         tol=args.tol if args.tol is not None else 1e-10,
     )
-    _emit(args, ["name", "value"], [[args.name, constant(spec)]])
-    return 0
+    return ["name", "value"], [[args.name, constant(spec)]]
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace) -> Table:
     if args.ell is None and args.d is None:
         raise ValueError("count requires --d (for C) or --ell (for A)")
     if args.j is not None and args.ell is None:
@@ -267,11 +274,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
         return ["A-split", args.s, r, args.ell, args.j, r_ell, cnt]
 
     rows = [row(r) for r in _parse_int_list(args.r_grid)]
-    _emit(args, ["kind", "s", "r", "dim", "j", "r_ell", "count"], rows)
-    return 0
+    return ["kind", "s", "r", "dim", "j", "r_ell", "count"], rows
 
 
-def _cmd_appendix_verify(args: argparse.Namespace) -> int:
+def _cmd_appendix_verify(args: argparse.Namespace) -> Table:
     s_frac = Fraction(args.s)
     grid = _parse_int_list(args.r_grid)
     tol = args.tol if args.tol is not None else 1e-10
@@ -292,23 +298,18 @@ def _cmd_appendix_verify(args: argparse.Namespace) -> int:
         for r in _parse_int_list(args.sandwich_r):
             ok = sandwich_check(s_frac, args.d, r)
             rows.append(["sandwich", r, None, None, None, None, None, None, ok])
-    _emit(
-        args,
-        ["section", "r", "ell", "j", "r_ell", "count", "ratio", "target", "ok"],
-        rows,
-    )
-    return 0
+    columns = ["section", "r", "ell", "j", "r_ell", "count", "ratio", "target", "ok"]
+    return columns, rows
 
 
-def _cmd_integral(args: argparse.Namespace) -> int:
+def _cmd_integral(args: argparse.Namespace) -> Table:
     s = _parse_s_float(args.s)
     limit = 1.0 / (s + 1.0)
     rows = []
     for n in _parse_int_list(args.n_grid):
         val = aux_integral(s, args.beta, args.a, n)
         rows.append([n, val, limit, abs(val - limit)])
-    _emit(args, ["n", "value", "limit", "abs_dev"], rows)
-    return 0
+    return ["n", "value", "limit", "abs_dev"], rows
 
 
 _DISPATCH = {
@@ -417,19 +418,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code = _DISPATCH[args.command](args)
+        _emit(args, *_DISPATCH[args.command](args))
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:
         # The reader closed stdout (e.g. `| head`).  Point stdout at devnull
         # so the flush at interpreter exit cannot raise again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (CumSumOverflowError, ResourceLimitError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OverflowError as exc:
+    except (ResourceLimitError, MemoryError, OverflowError) as exc:
+        # OverflowError covers sigma.CumSumOverflowError
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TypeError) as exc:

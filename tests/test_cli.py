@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 import time
 
-from wienerwidths.cli import main
+import pytest
+
+from wienerwidths.cli import _BLOCK, _parse_int, main
 
 CLI = [sys.executable, "-m", "wienerwidths.cli"]
 
@@ -192,3 +195,108 @@ def test_closed_stdout_exits_1_quietly():
 
 def test_main_returns_int():
     assert main(["constants", "--name", "transfer-vw", "--s", "1"]) == 0
+
+
+def test_import_cli_leaves_scipy_unloaded():
+    # scipy.integrate is imported by aux_integral only, when it first runs
+    code = "import sys, wienerwidths.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
+def test_integer_arguments():
+    assert _parse_int("7") == 7
+    assert _parse_int("1.5e5") == 150_000
+    assert _parse_int("123456789012345678901") == 123456789012345678901
+    for text in ("2.5", "1e400", "nan", "-inf"):
+        with pytest.raises(ValueError, match="not an integer"):
+            _parse_int(text)
+    weight = ["--family", "mixed-inf", "--s", "1", "--d", "2"]
+    cases = [
+        (["width", *weight, "--embedding", "a-to-l2", "--kind", "bernstein",
+          "--n", "2.7"], "'2.7'"),
+        (["width", *weight, "--embedding", "a-to-l2", "--kind", "bernstein",
+          "--n", "1..2.5"], "'2.5'"),
+        (["count", "--s", "2", "--d", "2", "--r-grid", "3.9"], "'3.9'"),
+        (["converge", *weight, "--embedding", "a-to-l2", "--kind", "bernstein",
+          "--n-grid", "10,31.6", "--alpha", "1", "--beta", "1",
+          "--target", "1"], "'31.6'"),
+        (["sigma", *weight, "--n", "2.5"], "'2.5'"),
+        (["sigma", *weight, "--n", "1e400"], "'1e400'"),
+    ]
+    for argv, value in cases:
+        out = run_cli(*argv)
+        assert out.returncode == 2, argv
+        assert f"not an integer: {value}" in out.stderr, (argv, out.stderr)
+        assert out.stdout == ""
+    out = run_cli("sigma", *weight, "--n", "2e0")
+    assert out.returncode == 0
+    assert len(out.stdout.splitlines()) == 3
+
+
+def _sigma(n, *extra):
+    return run_cli("sigma", "--family", "mixed-inf", "--s", "1", "--d", "2",
+                   "--n", str(n), *extra)
+
+
+def test_json_layout_across_blocks():
+    # one row, exactly one block, and one row past a block boundary
+    for n in (1, _BLOCK, _BLOCK + 1):
+        out = _sigma(n, "--format", "json")
+        assert out.returncode == 0
+        payload = json.loads(out.stdout)
+        assert out.stdout == json.dumps(payload, indent=2) + "\n"
+        assert payload["command"] == "sigma"
+        assert [row[0] for row in payload["rows"]] == list(range(1, n + 1))
+    # CSV rows are the JSON rows with floats at 17 significant digits
+    csv_out = _sigma(_BLOCK + 1)
+    assert csv_out.returncode == 0
+    lines = csv_out.stdout.splitlines()
+    assert lines[0] == ",".join(payload["columns"])
+    expected = [
+        ",".join(str(x) if isinstance(x, int) else format(x, ".17g")
+                 for x in row)
+        for row in payload["rows"]
+    ]
+    assert lines[1:] == expected
+
+
+def test_failing_row_writes_nothing():
+    # r = 0 fails on the second row, after r = 5 was counted
+    out = run_cli("count", "--s", "2", "--d", "2", "--r-grid", "5,0")
+    assert out.returncode == 2
+    assert "error:" in out.stderr
+    assert out.stdout == ""
+
+
+# A child's ru_maxrss starts at its spawner's peak (exec keeps the high-water
+# mark of the replaced image), so a small interpreter, not pytest, spawns the
+# measured command.
+_RSS_PROBE = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mb(argv):
+    out = subprocess.run([sys.executable, "-c", _RSS_PROBE, *CLI, *argv],
+                         capture_output=True, text=True, timeout=300)
+    code, maxrss = map(int, out.stdout.split())
+    assert code == 0, (argv, out.stderr)
+    # ru_maxrss counts kilobytes, except bytes on macOS
+    return maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+
+
+def test_sigma_table_memory_is_bounded():
+    # the table streams from the prefix arrays; only they grow with n
+    sigma = ["sigma", "--family", "mixed-sr", "--s", "3/2", "--r", "2",
+             "--d", "3"]
+    for fmt, bound_mb in (("csv", 30), ("json", 80)):
+        small = _peak_rss_mb([*sigma, "--n", "10", "--format", fmt])
+        large = _peak_rss_mb([*sigma, "--n", "3e5", "--format", fmt])
+        assert large - small < bound_mb, (fmt, small, large)
