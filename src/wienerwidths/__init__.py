@@ -6,16 +6,14 @@ nonincreasing rearrangement of {1/omega(k) : k in Z^d} for a family of
 lattice weights omega, and numerically verifies the asymptotic constants
 and exact lattice-count identities that govern their decay.
 """
-from .weights import Family, WeightSpec, canonical_key, log_weight_box
+from .weights import Family, WeightSpec, log_weight_box
 from .sigma import (
     BoxTooSmallError,
     CumSumOverflowError,
     OrbitEntry,
     SigmaPrefix,
-    best_index_set,
     count_leq,
     iter_orbits,
-    orbit_members,
     orbit_multiplicity,
     sigma_bruteforce,
     sigma_prefix,
@@ -26,7 +24,6 @@ from .widths import (
     WidthKind,
     WidthQuery,
     WidthValue,
-    s_lambda_error,
     sup_over_h,
     width,
 )
@@ -58,19 +55,16 @@ __version__ = "0.1.0"
 __all__ = [
     "Family",
     "WeightSpec",
-    "canonical_key",
     "log_weight_box",
     "OrbitEntry",
     "SigmaPrefix",
     "BoxTooSmallError",
     "CumSumOverflowError",
     "iter_orbits",
-    "orbit_members",
     "orbit_multiplicity",
     "sigma_prefix",
     "sigma_bruteforce",
     "count_leq",
-    "best_index_set",
     "Embedding",
     "WidthKind",
     "WidthQuery",
@@ -78,7 +72,6 @@ __all__ = [
     "PrefixTooShortError",
     "width",
     "sup_over_h",
-    "s_lambda_error",
     "CONSTANT_NAMES",
     "ConstantSpec",
     "ResourceLimitError",

@@ -18,7 +18,7 @@ converts its prefix arrays block by block), so peak memory is the prefix,
 the first byte.  Integers may be spelled 1.5e5.  Progress notes go to stderr.
 Prefix lengths above 30,000,000 are refused before any enumeration.
 Exit codes: 0 success, 1 stdout closed early (broken pipe), 2 domain/usage
-error, 3 resource cap.
+error or an --output path that cannot be opened, 3 resource cap.
 """
 from __future__ import annotations
 
@@ -70,15 +70,24 @@ Table = tuple[Sequence[str], Iterable[Sequence]]
 # -- parsing helpers ---------------------------------------------------------
 
 
+class _NotAnInteger(argparse.ArgumentTypeError, ValueError):
+    """One message either way: argparse prints it when an option's type
+    refuses a value, and ``main`` prints it when a subcommand does."""
+
+
 def _parse_int(text: str) -> int:
     """An integer, exact at any length, or an integral float such as 1.5e5."""
     try:
         return int(text)
     except ValueError:
+        pass
+    try:
         value = float(text)
-    if not value.is_integer():
-        raise ValueError(f"not an integer: {text!r}")
-    return int(value)
+        if value.is_integer():
+            return int(value)
+    except ValueError:
+        pass
+    raise _NotAnInteger(f"not an integer: {text!r}")
 
 
 def _parse_int_list(text: str) -> Sequence[int]:
@@ -269,7 +278,7 @@ def _cmd_count(args: argparse.Namespace) -> Table:
         if args.r_ell is None or args.r_ell == "auto":
             r_ell = split_cut(s_frac, r, args.ell)
         else:
-            r_ell = int(args.r_ell)
+            r_ell = _parse_int(args.r_ell)
         cnt = count_A_split(s_frac, r, args.ell, args.j, r_ell)
         return ["A-split", args.s, r, args.ell, args.j, r_ell, cnt]
 
@@ -343,12 +352,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=[f.value for f in Family])
         p.add_argument("--s", required=True, help="smoothness, e.g. 1.5 or 3/2")
         p.add_argument("--r", help="inner exponent for the -sr families")
-        p.add_argument("--d", type=int, required=True, help="lattice dimension")
+        p.add_argument("--d", type=_parse_int, required=True,
+                       help="lattice dimension")
 
     p = sub.add_parser("sigma", help="rearrangement prefix table")
     weight_args(p)
     p.add_argument("--n", required=True, help="prefix length")
-    p.add_argument("--check-box-radius", type=int,
+    p.add_argument("--check-box-radius", type=_parse_int,
                    help="also compute the brute-force oracle on this box and "
                    "emit it as a fourth column")
     common(p)
@@ -361,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=[k.value for k in WidthKind])
     p.add_argument("--n", required=True, help="single n, list, or a..b")
     p.add_argument("--p", type=float, help="target exponent for a-to-lp")
-    p.add_argument("--prefix-n", type=int, help="override prefix length")
+    p.add_argument("--prefix-n", type=_parse_int, help="override prefix length")
     common(p)
 
     p = sub.add_parser("converge", help="normalized width ratios on an n grid")
@@ -374,21 +384,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--target", type=float, required=True)
-    p.add_argument("--prefix-n", type=int, help="override prefix length")
+    p.add_argument("--prefix-n", type=_parse_int, help="override prefix length")
     common(p)
 
     p = sub.add_parser("constants", help="print a named constant")
     p.add_argument("--name", required=True, choices=list(CONSTANT_NAMES))
     p.add_argument("--s", help="smoothness, e.g. 1.5 or 3/2")
-    p.add_argument("--d", type=int)
+    p.add_argument("--d", type=_parse_int)
     p.add_argument("--tol", type=float, help="series tolerance where used")
     common(p)
 
     p = sub.add_parser("count", help="exact lattice counts C / A / A-split")
     p.add_argument("--s", required=True, help="smoothness, e.g. 2 or 3/2")
-    p.add_argument("--d", type=int, help="dimension for C counts")
-    p.add_argument("--ell", type=int, help="support size for A counts")
-    p.add_argument("--j", type=int, help="split index for A-split counts")
+    p.add_argument("--d", type=_parse_int, help="dimension for C counts")
+    p.add_argument("--ell", type=_parse_int, help="support size for A counts")
+    p.add_argument("--j", type=_parse_int, help="split index for A-split counts")
     p.add_argument("--r-ell", dest="r_ell",
                    help="split cut (integer or 'auto' for floor(r^lambda))")
     p.add_argument("--r-grid", required=True, dest="r_grid",
@@ -398,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("appendix-verify",
                        help="all count ratios against their proven limits")
     p.add_argument("--s", required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_parse_int, required=True)
     p.add_argument("--r-grid", required=True, dest="r_grid")
     p.add_argument("--sandwich-r", dest="sandwich_r",
                    help="also check rearrangement sandwich on these r, e.g. 2..8")
@@ -427,6 +437,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
+    except OSError as exc:  # e.g. an --output path that cannot be opened
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ResourceLimitError, MemoryError, OverflowError) as exc:
         # OverflowError covers sigma.CumSumOverflowError
         print(f"error: {exc}", file=sys.stderr)

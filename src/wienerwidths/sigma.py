@@ -37,7 +37,6 @@ the best shell value strictly, no outside point can intrude into the top N).
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -54,10 +53,8 @@ __all__ = [
     "BoxTooSmallError",
     "iter_orbits",
     "orbit_multiplicity",
-    "orbit_members",
     "sigma_prefix",
     "count_leq",
-    "best_index_set",
     "sigma_bruteforce",
 ]
 
@@ -90,19 +87,6 @@ def orbit_multiplicity(rep: Sequence[int]) -> int:
     for c in Counter(rep).values():
         perms //= math.factorial(c)
     return (1 << nonzero) * perms
-
-
-def orbit_members(rep: Sequence[int]) -> list[tuple[int, ...]]:
-    """All lattice points of the orbit, sorted (deterministic expansion)."""
-    pts = set()
-    for perm in set(itertools.permutations(rep)):
-        nz = [i for i, v in enumerate(perm) if v]
-        for signs in itertools.product((1, -1), repeat=len(nz)):
-            k = list(perm)
-            for i, sg in zip(nz, signs):
-                k[i] = sg * k[i]
-            pts.add(tuple(k))
-    return sorted(pts)
 
 
 def iter_orbits(spec: WeightSpec) -> Iterator[OrbitEntry]:
@@ -232,28 +216,6 @@ def count_leq(spec: WeightSpec, t: float) -> int:
         return total
 
     return rec(0, 1)
-
-
-def best_index_set(spec: WeightSpec, n: int) -> list[tuple[int, ...]]:
-    """An optimal index set of size n-1: the n-1 smallest-weight points.
-
-    Deterministic: orbits arrive in enumeration order and expand sorted, so
-    ties at the boundary resolve the same way as in sigma_prefix.  Every
-    returned point has weight <= every omitted point's weight.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    need = n - 1
-    out: list[tuple[int, ...]] = []
-    if need == 0:
-        return out
-    for orb in iter_orbits(spec):
-        members = orbit_members(orb.rep)
-        room = need - len(out)
-        out.extend(members[:room])
-        if len(out) == need:
-            return out
-    raise AssertionError("orbit stream is infinite")  # pragma: no cover
 
 
 def sigma_bruteforce(

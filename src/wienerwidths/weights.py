@@ -57,16 +57,6 @@ class Family(enum.Enum):
     H1_RATIO = "h1-ratio"
 
 
-def canonical_key(k: Sequence[int]) -> tuple[int, ...]:
-    """Canonical orbit representative: |k_i| sorted nonincreasing.
-
-    All five families are invariant under sign flips and coordinate
-    permutations, so two points with equal canonical keys always have equal
-    weight.
-    """
-    return tuple(sorted((abs(int(v)) for v in k), reverse=True))
-
-
 def _log1p_pow(v: int, r: float) -> float:
     """log(1 + v^r) for integer v >= 0, without overflow in v^r."""
     if v == 0:

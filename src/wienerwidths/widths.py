@@ -50,8 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sigma import SigmaPrefix
-from .weights import Family, WeightSpec
-from . import sigma as _sigma
+from .weights import Family
 
 __all__ = [
     "Embedding",
@@ -62,7 +61,6 @@ __all__ = [
     "width",
     "needs_sup",
     "sup_over_h",
-    "s_lambda_error",
 ]
 
 
@@ -169,9 +167,8 @@ def sup_over_h(prefix: SigmaPrefix, n: int) -> tuple[float, int]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _require_n(prefix, n)
     N = prefix.n_max
-    if n > N:
-        raise PrefixTooShortError(n, f"prefix too short: n={n} > n_max={N}")
     S = prefix.cum_inv_sq
     sig = prefix.values
     best = -math.inf
@@ -200,19 +197,20 @@ def sup_over_h(prefix: SigmaPrefix, n: int) -> tuple[float, int]:
     )
 
 
-def _sigma_n(prefix: SigmaPrefix, n: int) -> float:
+def _require_n(prefix: SigmaPrefix, n: int) -> None:
     if n > prefix.n_max:
         raise PrefixTooShortError(
             n, f"prefix too short: n={n} > n_max={prefix.n_max}"
         )
+
+
+def _sigma_n(prefix: SigmaPrefix, n: int) -> float:
+    _require_n(prefix, n)
     return float(prefix.values[n - 1])
 
 
 def _v_value(prefix: SigmaPrefix, n: int) -> float:
-    if n > prefix.n_max:
-        raise PrefixTooShortError(
-            n, f"prefix too short: n={n} > n_max={prefix.n_max}"
-        )
+    _require_n(prefix, n)
     return float(prefix.cum_inv_sq[n - 1]) ** -0.5
 
 
@@ -282,18 +280,3 @@ def _require_cmix_prefix(prefix: SigmaPrefix) -> None:
             f"family={spec.family.value}, s={spec.s}, r={spec.r}"
         )
 
-
-def s_lambda_error(spec: WeightSpec, n: int) -> float:
-    """Worst coefficient weight outside the optimal (n-1)-point index set.
-
-    Equals sigma_n exactly: the optimal set keeps the n-1 smallest-weight
-    points, so the best omitted point is the n-th of the enumeration.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    covered = 0
-    for orb in _sigma.iter_orbits(spec):
-        covered += orb.multiplicity
-        if covered >= n:
-            return 1.0 / orb.weight
-    raise AssertionError("orbit stream is infinite")  # pragma: no cover

@@ -193,6 +193,16 @@ def test_closed_stdout_exits_1_quietly():
     assert "Traceback" not in err
 
 
+def test_unwritable_output_exits_2(tmp_path):
+    path = str(tmp_path / "missing" / "x.csv")
+    out = run_cli("constants", "--name", "transfer-uv", "--s", "1",
+                  "--output", path)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and path in out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+
+
 def test_main_returns_int():
     assert main(["constants", "--name", "transfer-vw", "--s", "1"]) == 0
 
@@ -225,6 +235,10 @@ def test_integer_arguments():
           "--target", "1"], "'31.6'"),
         (["sigma", *weight, "--n", "2.5"], "'2.5'"),
         (["sigma", *weight, "--n", "1e400"], "'1e400'"),
+        (["sigma", "--family", "mixed-inf", "--s", "1", "--d", "2.5",
+          "--n", "5"], "'2.5'"),
+        (["count", "--s", "2", "--ell", "2", "--j", "1", "--r-ell", "2.5",
+          "--r-grid", "9"], "'2.5'"),
     ]
     for argv, value in cases:
         out = run_cli(*argv)
@@ -234,6 +248,13 @@ def test_integer_arguments():
     out = run_cli("sigma", *weight, "--n", "2e0")
     assert out.returncode == 0
     assert len(out.stdout.splitlines()) == 3
+    # every integer option takes the same spellings as --n
+    width_args = ["width", *weight, "--embedding", "a-to-l2",
+                  "--kind", "approximation", "--n", "5"]
+    plain = run_cli(*width_args, "--prefix-n", "1000")
+    spelled = run_cli(*width_args, "--prefix-n", "1e3")
+    assert plain.returncode == spelled.returncode == 0, spelled.stderr
+    assert spelled.stdout == plain.stdout
 
 
 def _sigma(n, *extra):

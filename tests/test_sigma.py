@@ -11,10 +11,8 @@ from wienerwidths import (
     CumSumOverflowError,
     Family,
     WeightSpec,
-    best_index_set,
     count_leq,
     iter_orbits,
-    orbit_members,
     orbit_multiplicity,
     sigma_bruteforce,
     sigma_prefix,
@@ -104,15 +102,6 @@ def test_orbit_multiplicity_bruteforce():
             assert orbit_multiplicity(rep) == cnt
 
 
-def test_orbit_members_roundtrip():
-    rep = (2, 1, 0)
-    members = orbit_members(rep)
-    assert len(members) == orbit_multiplicity(rep)
-    assert len(set(members)) == len(members)
-    for m in members:
-        assert tuple(sorted(map(abs, m), reverse=True)) == rep
-
-
 def test_iter_orbits_nondecreasing_and_complete():
     spec = WeightSpec(Family.MIXED_SR, s=1.0, d=2, r=2.0)
     reps = []
@@ -174,21 +163,6 @@ def test_count_leq_consistent_with_prefix():
         for n in (1, 10, 99, 400):
             t = 1.0 / v[n - 1]
             assert count_leq(spec, t) == int(np.sum(v >= v[n - 1] * (1 - 1e-12)))
-
-
-def test_best_index_set():
-    spec = WeightSpec(Family.MIXED_INF, s=1.0, d=1)
-    lam = best_index_set(spec, 4)
-    assert len(lam) == 3
-    assert len(set(lam)) == 3
-    max_in = max(spec.evaluate(k) for k in lam)
-    # defining property: nothing outside the set is lighter
-    assert max_in <= 1.0
-    spec2 = WeightSpec(Family.MIXED_SR, s=1.5, d=2, r=2.0)
-    lam2 = best_index_set(spec2, 30)
-    max_in = max(spec2.evaluate(k) for k in lam2)
-    p = sigma_prefix(spec2, 30)
-    assert max_in <= 1.0 / p.sigma(30) + 1e-12
 
 
 def test_bruteforce_example_radius():

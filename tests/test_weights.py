@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from wienerwidths import Family, WeightSpec, canonical_key, log_weight_box
+from wienerwidths import Family, WeightSpec, log_weight_box
 
 
 def test_mixed_sr_values():
@@ -94,12 +94,6 @@ def test_large_arguments_do_not_overflow():
     k = (10 ** 60, 10 ** 60, 10 ** 60)
     assert spec.evaluate(k) == math.inf
     assert spec.log_evaluate(k) > 1e3
-
-
-def test_canonical_key():
-    assert canonical_key((-3, 0, 2)) == (3, 2, 0)
-    assert canonical_key((1, 1)) == (1, 1)
-    assert canonical_key((0,)) == (0,)
 
 
 def test_axis_extent():

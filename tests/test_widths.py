@@ -10,7 +10,6 @@ from wienerwidths import (
     WeightSpec,
     WidthKind,
     WidthQuery,
-    s_lambda_error,
     sigma_prefix,
     sup_over_h,
     width,
@@ -81,8 +80,16 @@ def test_prefix_too_short():
     with pytest.raises(PrefixTooShortError) as exc:
         width(p, WidthQuery(Embedding.A_TO_L2, WidthKind.APPROXIMATION, 39))
     assert exc.value.required > 40
-    with pytest.raises(ValueError):
-        width(p, WidthQuery(Embedding.A_TO_A, WidthKind.APPROXIMATION, 41))
+    # n = n_max + 1 on the sigma, v and sup paths: retry with at least n terms
+    for emb, kind in [
+        (Embedding.A_TO_A, WidthKind.APPROXIMATION),
+        (Embedding.A_TO_L2, WidthKind.BERNSTEIN),
+        (Embedding.A_TO_L2, WidthKind.APPROXIMATION),
+    ]:
+        with pytest.raises(PrefixTooShortError) as exc:
+            width(p, WidthQuery(emb, kind, 41))
+        assert exc.value.required == 41
+        assert str(exc.value) == "prefix too short: n=41 > n_max=40"
 
 
 def test_chain_inequalities_a_to_l2():
@@ -230,14 +237,3 @@ def test_monotone_in_n_all_embeddings():
                 assert all(a >= b - 1e-15 for a, b in zip(lows, lows[1:]))
                 assert all(a >= b - 1e-15 for a, b in zip(ups, ups[1:]))
 
-
-def test_s_lambda_error_equals_sigma():
-    spec = WeightSpec(Family.MIXED_INF, s=2.0, d=2)
-    assert s_lambda_error(spec, 5) == 1.0
-    spec1 = WeightSpec(Family.MIXED_INF, s=1.0, d=1)
-    assert s_lambda_error(spec1, 4) == 0.5
-    spec2 = WeightSpec(Family.MIXED_SR, s=1.0, d=2, r=2.0)
-    assert s_lambda_error(spec2, 1) == 1.0
-    p = sigma_prefix(spec2, 1000)
-    for n in (1, 2, 3, 10, 99, 512, 1000):
-        assert s_lambda_error(spec2, n) == p.sigma(n)
