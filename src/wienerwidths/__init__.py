@@ -22,16 +22,13 @@ from .widths import (
     Embedding,
     PrefixTooShortError,
     WidthKind,
-    WidthQuery,
     WidthValue,
     sup_over_h,
     width,
 )
 from .asymptotics import (
     CONSTANT_NAMES,
-    ConstantSpec,
     ConvergenceRow,
-    ConvergenceTable,
     ResourceLimitError,
     aux_integral,
     constant,
@@ -67,18 +64,15 @@ __all__ = [
     "count_leq",
     "Embedding",
     "WidthKind",
-    "WidthQuery",
     "WidthValue",
     "PrefixTooShortError",
     "width",
     "sup_over_h",
     "CONSTANT_NAMES",
-    "ConstantSpec",
     "ResourceLimitError",
     "constant",
     "series_S",
     "ConvergenceRow",
-    "ConvergenceTable",
     "convergence_table",
     "aux_integral",
     "SplitCell",

@@ -9,7 +9,7 @@ that behaviour:
         v_n / (n^-s-1/2 (ln n)^beta) -> sqrt(2s+1) C        (transfer-vw)
         u_n / (n^-s    (ln n)^beta) -> (2s/(2s+1))^s C      (transfer-uv)
 
-Named constants provided here:
+Named constants, evaluated by ``constant(name, s, d, tol)``:
 
     mix-l2-sigma    (2^d / (d-1)!)^s, the sigma constant of the mixed
                     families (beta = s(d-1))
@@ -45,16 +45,14 @@ from typing import Sequence
 import numpy as np
 
 from .sigma import SigmaPrefix
-from .widths import Embedding, WidthKind, WidthQuery, width
+from .widths import Embedding, WidthKind, width
 
 __all__ = [
     "CONSTANT_NAMES",
-    "ConstantSpec",
     "ResourceLimitError",
     "constant",
     "series_S",
     "ConvergenceRow",
-    "ConvergenceTable",
     "convergence_table",
     "aux_integral",
 ]
@@ -77,59 +75,48 @@ class ResourceLimitError(RuntimeError):
     """A computation exceeded its resource cap (series length, prefix size)."""
 
 
-@dataclass(frozen=True)
-class ConstantSpec:
-    """A named constant request; s/d are consumed as each formula needs."""
-
-    name: str
-    s: float | None = None
-    d: int | None = None
-    tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.name not in CONSTANT_NAMES:
-            raise ValueError(
-                f"unknown constant {self.name!r}; valid: {', '.join(CONSTANT_NAMES)}"
-            )
-
-
-def _need(value, what: str, cond: bool, constraint: str):
+def _need(value, what: str, cond: bool, constraint: str) -> None:
     if value is None:
         raise ValueError(f"{what} is required ({constraint})")
     if not cond:
         raise ValueError(f"{constraint}, got {what}={value!r}")
-    return value
 
 
-def constant(c: ConstantSpec) -> float:
-    """Evaluate a named constant; domain errors name the violated constraint."""
-    name = c.name
+def constant(
+    name: str, s: float | None = None, d: int | None = None, tol: float = 1e-10
+) -> float:
+    """Evaluate a named constant; s and d are consumed as each formula needs,
+    tol is the series tolerance.  Domain errors name the violated constraint."""
+    if name not in CONSTANT_NAMES:
+        raise ValueError(
+            f"unknown constant {name!r}; valid: {', '.join(CONSTANT_NAMES)}"
+        )
     if name == "mix-l2-sigma":
-        d = _need(c.d, "d", c.d is not None and c.d >= 1, "mix-l2-sigma requires d >= 1")
-        s = _need(c.s, "s", c.s is not None and c.s > 0, "mix-l2-sigma requires s > 0")
+        _need(d, "d", d is not None and d >= 1, "mix-l2-sigma requires d >= 1")
+        _need(s, "s", s is not None and s > 0, "mix-l2-sigma requires s > 0")
         base = 2.0**d / math.factorial(d - 1)
         return base**s
     if name == "transfer-uv":
-        s = _need(c.s, "s", c.s is not None and c.s > 0, "transfer-uv requires s > 0")
+        _need(s, "s", s is not None and s > 0, "transfer-uv requires s > 0")
         return (2.0 * s / (2.0 * s + 1.0)) ** s
     if name == "transfer-vw":
-        s = _need(c.s, "s", c.s is not None and c.s > 0, "transfer-vw requires s > 0")
+        _need(s, "s", s is not None and s > 0, "transfer-vw requires s > 0")
         return math.sqrt(2.0 * s + 1.0)
     if name == "preasymptotic":
-        d = _need(c.d, "d", c.d is not None and c.d >= 3, "preasymptotic requires d >= 3")
+        _need(d, "d", d is not None and d >= 3, "preasymptotic requires d >= 3")
         lg = math.log2(d - 1)
         return (1.0 + (1.0 + 2.0 / lg) / (d - 1)) ** (d - 1)
     if name == "h1-constant":
-        d = _need(c.d, "d", c.d is not None and c.d >= 1, "h1-constant requires d >= 1")
-        s = _need(c.s, "s", c.s is not None and c.s > 1, "h1-constant requires s > 1")
+        _need(d, "d", d is not None and d >= 1, "h1-constant requires d >= 1")
+        _need(s, "s", s is not None and s > 1, "h1-constant requires s > 1")
         out = (2.0 * d) ** (s - 1.0)
         if d > 1:
-            S = series_S(s, c.tol)
+            S = series_S(s, tol)
             out *= (2.0 * S + 1.0) ** ((s - 1.0) * (d - 1.0))
         return out
     if name == "s-series":
-        s = _need(c.s, "s", c.s is not None and c.s > 1, "s-series requires s > 1")
-        return series_S(s, c.tol)
+        _need(s, "s", s is not None and s > 1, "s-series requires s > 1")
+        return series_S(s, tol)
     raise AssertionError(name)  # pragma: no cover
 
 
@@ -184,16 +171,6 @@ class ConvergenceRow:
     target: float
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
-    embedding: Embedding
-    kind: WidthKind
-    alpha: float
-    beta: float
-    target: float
-    rows: tuple[ConvergenceRow, ...]
-
-
 def convergence_table(
     prefix: SigmaPrefix,
     embedding: Embedding,
@@ -202,8 +179,9 @@ def convergence_table(
     alpha: float,
     beta: float,
     target: float,
-) -> ConvergenceTable:
-    """Width values on an increasing n grid, normalized by n^-alpha (ln n)^beta.
+) -> tuple[ConvergenceRow, ...]:
+    """Width values on an increasing n grid, normalized by n^-alpha (ln n)^beta,
+    one row per n.
 
     Only exact-width embeddings are accepted (a bracket has no single ratio).
     """
@@ -212,19 +190,17 @@ def convergence_table(
         raise ValueError("n_grid must be strictly increasing")
     if grid[0] < 3:
         raise ValueError("n_grid entries must be >= 3 (ln n normalizer)")
-
-    def row(n: int) -> ConvergenceRow:
-        wv = width(prefix, WidthQuery(embedding, kind, n))
-        if not wv.exact:
-            raise ValueError(
-                f"convergence tables need an exact width; "
-                f"{embedding.value} yields a bracket"
-            )
+    values = width(prefix, embedding, kind, grid)
+    if not all(wv.exact for wv in values):
+        raise ValueError(
+            f"convergence tables need an exact width; "
+            f"{embedding.value} yields a bracket"
+        )
+    rows = []
+    for n, wv in zip(grid, values):
         norm = n ** (-alpha) * math.log(n) ** beta
-        return ConvergenceRow(n, wv.value, norm, wv.value / norm, target)
-
-    rows = tuple(row(n) for n in grid)
-    return ConvergenceTable(embedding, kind, alpha, beta, target, rows)
+        rows.append(ConvergenceRow(n, wv.value, norm, wv.value / norm, target))
+    return tuple(rows)
 
 
 def aux_integral(s: float, beta: float, a: float, n: float) -> float:

@@ -33,7 +33,6 @@ from typing import Iterable, Sequence
 
 from .asymptotics import (
     CONSTANT_NAMES,
-    ConstantSpec,
     ResourceLimitError,
     aux_integral,
     constant,
@@ -53,7 +52,6 @@ from .widths import (
     Embedding,
     PrefixTooShortError,
     WidthKind,
-    WidthQuery,
     needs_sup,
     width,
 )
@@ -223,11 +221,8 @@ def _cmd_width(args: argparse.Namespace) -> Table:
     ns = _parse_int_list(args.n)
 
     def compute(prefix):
-        rows = []
-        for n in ns:
-            wv = width(prefix, WidthQuery(embedding, kind, n, p=args.p))
-            rows.append([n, wv.lower, wv.upper, wv.exact])
-        return rows
+        values = width(prefix, embedding, kind, ns, p=args.p)
+        return [[n, wv.lower, wv.upper, wv.exact] for n, wv in zip(ns, values)]
 
     rows = _prefix_with_retry(
         spec, max(ns), needs_sup(embedding, kind), args.prefix_n, compute
@@ -249,25 +244,25 @@ def _cmd_converge(args: argparse.Namespace) -> Table:
     table = _prefix_with_retry(
         spec, max(grid), needs_sup(embedding, kind), args.prefix_n, compute
     )
-    rows = [[r.n, r.raw, r.normalizer, r.ratio, r.target] for r in table.rows]
+    rows = [[r.n, r.raw, r.normalizer, r.ratio, r.target] for r in table]
     return ["n", "raw", "normalizer", "ratio", "target"], rows
 
 
 def _cmd_constants(args: argparse.Namespace) -> Table:
-    spec = ConstantSpec(
-        args.name,
-        s=None if args.s is None else _parse_s_float(args.s),
-        d=args.d,
-        tol=args.tol if args.tol is not None else 1e-10,
-    )
-    return ["name", "value"], [[args.name, constant(spec)]]
+    s = None if args.s is None else _parse_s_float(args.s)
+    value = constant(args.name, s=s, d=args.d, tol=args.tol)
+    return ["name", "value"], [[args.name, value]]
 
 
 def _cmd_count(args: argparse.Namespace) -> Table:
     if args.ell is None and args.d is None:
         raise ValueError("count requires --d (for C) or --ell (for A)")
+    if args.ell is not None and args.d is not None:
+        raise ValueError("count takes --d (for C) or --ell (for A), not both")
     if args.j is not None and args.ell is None:
         raise ValueError("count --j requires --ell")
+    if args.r_ell is not None and args.j is None:
+        raise ValueError("count --r-ell requires --j")
     s_frac = Fraction(args.s)
 
     def row(r: int):
@@ -289,8 +284,7 @@ def _cmd_count(args: argparse.Namespace) -> Table:
 def _cmd_appendix_verify(args: argparse.Namespace) -> Table:
     s_frac = Fraction(args.s)
     grid = _parse_int_list(args.r_grid)
-    tol = args.tol if args.tol is not None else 1e-10
-    report = verify_appendix_limits(s_frac, args.d, grid, tol=tol)
+    report = verify_appendix_limits(s_frac, args.d, grid, tol=args.tol)
     rows = []
     for row in report.rows:
         rows.append(
@@ -391,7 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, choices=list(CONSTANT_NAMES))
     p.add_argument("--s", help="smoothness, e.g. 1.5 or 3/2")
     p.add_argument("--d", type=_parse_int)
-    p.add_argument("--tol", type=float, help="series tolerance where used")
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="series tolerance where used")
     common(p)
 
     p = sub.add_parser("count", help="exact lattice counts C / A / A-split")
@@ -412,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-grid", required=True, dest="r_grid")
     p.add_argument("--sandwich-r", dest="sandwich_r",
                    help="also check rearrangement sandwich on these r, e.g. 2..8")
-    p.add_argument("--tol", type=float, help="series tolerance")
+    p.add_argument("--tol", type=float, default=1e-10, help="series tolerance")
     common(p)
 
     p = sub.add_parser("integral", help="sup-formula limit integral on an n grid")

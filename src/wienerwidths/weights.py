@@ -28,8 +28,7 @@ representative), and ``sigma_prefix`` clamps a one-ulp crossing between that
 log key and the direct evaluation so the values stay exactly nonincreasing.
 
 The isotropic families are evaluatable and enumerable like the others, but
-their width *asymptotics* are not covered by the supported constants;
-``WeightSpec.asymptotics_supported`` is False for them.
+their width *asymptotics* are not covered by the supported constants.
 """
 from __future__ import annotations
 
@@ -113,12 +112,6 @@ class WeightSpec:
         else:
             # r is meaningless here; normalize so specs compare equal.
             object.__setattr__(self, "r", None)
-
-    @property
-    def asymptotics_supported(self) -> bool:
-        """False for the isotropic families: their width asymptotics are
-        outside the supported constants (evaluation still works)."""
-        return self.family not in (Family.ISOTROPIC_SR, Family.ISOTROPIC_INF)
 
     # -- evaluation ---------------------------------------------------------
 

@@ -29,6 +29,9 @@ and admit closed formulas in sigma:
         v_n exact as above; u_n bracketed by
         [sup_h formula, 2^(d/2) sigma_n].
 
+``width(prefix, embedding, kind, ns, p=None)`` evaluates one embedding and
+kind on a whole n grid, one ``WidthValue`` per n.
+
 The sup over h is evaluated with a certified scan: after scanning up to h,
 every later candidate h' > h satisfies
 
@@ -46,6 +49,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -55,7 +59,6 @@ from .weights import Family
 __all__ = [
     "Embedding",
     "WidthKind",
-    "WidthQuery",
     "WidthValue",
     "PrefixTooShortError",
     "width",
@@ -110,33 +113,6 @@ class PrefixTooShortError(ValueError):
     def __init__(self, required: int, message: str) -> None:
         super().__init__(message)
         self.required = required
-
-
-@dataclass(frozen=True)
-class WidthQuery:
-    """One width request: which embedding, which s-number, which n."""
-
-    embedding: Embedding
-    kind: WidthKind
-    n: int
-    p: float | None = None  # only for a-to-lp, 2 < p < inf
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.embedding, Embedding):
-            raise ValueError(f"unknown embedding: {self.embedding!r}")
-        if not isinstance(self.kind, WidthKind):
-            raise ValueError(f"unknown width kind: {self.kind!r}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if self.embedding is Embedding.A_TO_LP:
-            if self.p is None or not (2.0 < float(self.p) < math.inf):
-                raise ValueError(
-                    "a-to-lp requires a finite exponent p with 2 < p < inf "
-                    "(p=2 is a-to-l2, p=inf is a-to-linf)"
-                )
-            object.__setattr__(self, "p", float(self.p))
-        elif self.p is not None:
-            raise ValueError(f"p is only meaningful for a-to-lp")
 
 
 @dataclass(frozen=True)
@@ -204,53 +180,61 @@ def _require_n(prefix: SigmaPrefix, n: int) -> None:
         )
 
 
-def _sigma_n(prefix: SigmaPrefix, n: int) -> float:
-    _require_n(prefix, n)
-    return float(prefix.values[n - 1])
+def width(
+    prefix: SigmaPrefix,
+    embedding: Embedding,
+    kind: WidthKind,
+    ns: Sequence[int],
+    p: float | None = None,
+) -> list[WidthValue]:
+    """The width of one embedding and kind at every n of ``ns``, in input
+    order (repeats and unsorted grids allowed).  ``p`` is only for a-to-lp,
+    where 2 < p < inf.
 
-
-def _v_value(prefix: SigmaPrefix, n: int) -> float:
-    _require_n(prefix, n)
-    return float(prefix.cum_inv_sq[n - 1]) ** -0.5
-
-
-def _l2_value(prefix: SigmaPrefix, kind: WidthKind, n: int) -> float:
-    if kind in _V_KINDS:
-        return _v_value(prefix, n)
-    return sup_over_h(prefix, n)[0]
-
-
-def width(prefix: SigmaPrefix, query: WidthQuery) -> WidthValue:
-    """Dispatch a width query against a rearrangement prefix."""
-    emb = query.embedding
-    n = query.n
-    if emb in (Embedding.A_TO_A, Embedding.F_TO_L2):
-        v = _sigma_n(prefix, n)
-        return WidthValue(v, v, True)
-    if emb is Embedding.HMIX_TO_H1:
-        _require_family(prefix, Family.H1_RATIO, emb)
-        v = _sigma_n(prefix, n)
-        return WidthValue(v, v, True)
-    if emb is Embedding.A_TO_L2:
-        v = _l2_value(prefix, query.kind, n)
-        return WidthValue(v, v, True)
-    if emb is Embedding.AMIX_TO_H1:
-        _require_family(prefix, Family.H1_RATIO, emb)
-        v = _l2_value(prefix, query.kind, n)
-        return WidthValue(v, v, True)
-    if emb in (Embedding.A_TO_LINF, Embedding.A_TO_LP):
-        lower = _l2_value(prefix, query.kind, n)
-        upper = _sigma_n(prefix, n)
-        return WidthValue(lower, upper, False)
-    if emb is Embedding.CMIX_TO_L2:
+    Raises PrefixTooShortError when the prefix ends before max(ns), with
+    ``required = max(ns)``, or before a sup certificate fires.
+    """
+    if not isinstance(embedding, Embedding):
+        raise ValueError(f"unknown embedding: {embedding!r}")
+    if not isinstance(kind, WidthKind):
+        raise ValueError(f"unknown width kind: {kind!r}")
+    for n in ns:
+        if not (isinstance(n, int) and n >= 1):
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+    if embedding is Embedding.A_TO_LP:
+        if p is None or not (2.0 < float(p) < math.inf):
+            raise ValueError(
+                "a-to-lp requires a finite exponent p with 2 < p < inf "
+                "(p=2 is a-to-l2, p=inf is a-to-linf)"
+            )
+    elif p is not None:
+        raise ValueError("p is only meaningful for a-to-lp")
+    if embedding in (Embedding.HMIX_TO_H1, Embedding.AMIX_TO_H1):
+        _require_family(prefix, Family.H1_RATIO, embedding)
+    if embedding is Embedding.CMIX_TO_L2:
         _require_cmix_prefix(prefix)
-        if query.kind in _V_KINDS:
-            v = _v_value(prefix, n)
-            return WidthValue(v, v, True)
-        lower = sup_over_h(prefix, n)[0]
-        upper = 2.0 ** (prefix.spec.d / 2.0) * _sigma_n(prefix, n)
-        return WidthValue(lower, upper, False)
-    raise AssertionError(f"unhandled embedding {emb}")  # pragma: no cover
+    if ns:
+        _require_n(prefix, max(ns))
+
+    def sigma(n: int) -> float:
+        return float(prefix.values[n - 1])
+
+    def l2(n: int) -> float:  # the L_2-target width of this kind
+        if kind in _V_KINDS:
+            return float(prefix.cum_inv_sq[n - 1]) ** -0.5
+        return sup_over_h(prefix, n)[0]
+
+    if embedding in (Embedding.A_TO_A, Embedding.F_TO_L2, Embedding.HMIX_TO_H1):
+        return [WidthValue(v, v, True) for v in map(sigma, ns)]
+    if embedding in (Embedding.A_TO_L2, Embedding.AMIX_TO_H1) or (
+        embedding is Embedding.CMIX_TO_L2 and kind in _V_KINDS
+    ):
+        return [WidthValue(v, v, True) for v in map(l2, ns)]
+    if embedding is Embedding.CMIX_TO_L2:
+        scale = 2.0 ** (prefix.spec.d / 2.0)
+        return [WidthValue(l2(n), scale * sigma(n), False) for n in ns]
+    # a-to-linf, a-to-lp
+    return [WidthValue(l2(n), sigma(n), False) for n in ns]
 
 
 def _require_family(

@@ -13,12 +13,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from wienerwidths import (
-    ConstantSpec,
     Embedding,
     Family,
     WeightSpec,
     WidthKind,
-    WidthQuery,
     aux_integral,
     constant,
     count_A,
@@ -48,9 +46,9 @@ def test_c01_flat_region_exact():
             p = sigma_prefix(WeightSpec(Family.MIXED_INF, s=s, d=d), 3 ** d + 1)
             for kind in ALL_KINDS:
                 for n in (1, 2, 3 ** d - 1, 3 ** d):
-                    w = width(p, WidthQuery(Embedding.A_TO_A, kind, n)).value
+                    w = width(p, Embedding.A_TO_A, kind, [n])[0].value
                     ok = ok and w == 1.0
-                w = width(p, WidthQuery(Embedding.A_TO_A, kind, 3 ** d + 1)).value
+                w = width(p, Embedding.A_TO_A, kind, [3 ** d + 1])[0].value
                 ok = ok and w < 1.0
     report(1, "flat region", ok, f"d<=4, s in {{1,2}}, {time.time()-t0:.1f}s")
 
@@ -110,8 +108,8 @@ def test_c04_width_equality_a_f():
         v = np.asarray(p.values)
         for kind in ALL_KINDS:
             for n in range(1, 10 ** 4 + 1):
-                a = width(p, WidthQuery(Embedding.A_TO_A, kind, n)).value
-                f = width(p, WidthQuery(Embedding.F_TO_L2, kind, n)).value
+                a = width(p, Embedding.A_TO_A, kind, [n])[0].value
+                f = width(p, Embedding.F_TO_L2, kind, [n])[0].value
                 if not (a == f == v[n - 1]):
                     ok = False
                     break
@@ -138,8 +136,8 @@ def test_c06_transfer_ratios():
     t0 = time.time()
     p = sigma_prefix(WeightSpec(Family.MIXED_INF, s=1.0, d=1), 450_000)
     n = 10 ** 5
-    u = width(p, WidthQuery(Embedding.A_TO_L2, WidthKind.APPROXIMATION, n)).value
-    v = width(p, WidthQuery(Embedding.A_TO_L2, WidthKind.BERNSTEIN, n)).value
+    u = width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, [n])[0].value
+    v = width(p, Embedding.A_TO_L2, WidthKind.BERNSTEIN, [n])[0].value
     sn = p.sigma(n)
     dev_u = abs(u / sn - 2.0 / 3.0) / (2.0 / 3.0)
     dev_v = abs(v * math.sqrt(n) / sn - math.sqrt(3.0)) / math.sqrt(3.0)
@@ -298,9 +296,9 @@ def test_c12_monotonicity_chain_suite():
         # lp/linf sandwich nesting: lower = same-kind l2 value, upper = sigma
         for kind in (WidthKind.APPROXIMATION, WidthKind.WEYL):
             for n in (1, 7, 100, 5000, N):
-                l2 = width(p, WidthQuery(Embedding.A_TO_L2, kind, n)).value
-                bp = width(p, WidthQuery(Embedding.A_TO_LP, kind, n, p=4.0))
-                binf = width(p, WidthQuery(Embedding.A_TO_LINF, kind, n))
+                l2 = width(p, Embedding.A_TO_L2, kind, [n])[0].value
+                bp = width(p, Embedding.A_TO_LP, kind, [n], p=4.0)[0]
+                binf = width(p, Embedding.A_TO_LINF, kind, [n])[0]
                 ok = ok and bp.lower == binf.lower == l2
                 ok = ok and bp.upper == binf.upper == sig[n - 1]
                 ok = ok and bp.lower <= bp.upper
@@ -310,17 +308,17 @@ def test_c12_monotonicity_chain_suite():
     v = 1.0 / np.sqrt(np.asarray(p.cum_inv_sq)[:N])
     u = u_array(p)
     for n in (1, 3, 50, 2000, N):
-        b = width(p, WidthQuery(Embedding.CMIX_TO_L2, WidthKind.APPROXIMATION, n))
+        b = width(p, Embedding.CMIX_TO_L2, WidthKind.APPROXIMATION, [n])[0]
         ok = ok and b.lower == u[n - 1] and b.upper == 2.0 * sig[n - 1]
-        ex = width(p, WidthQuery(Embedding.CMIX_TO_L2, WidthKind.WEYL, n))
-        vex = width(p, WidthQuery(Embedding.A_TO_L2, WidthKind.WEYL, n)).value
+        ex = width(p, Embedding.CMIX_TO_L2, WidthKind.WEYL, [n])[0]
+        vex = width(p, Embedding.A_TO_L2, WidthKind.WEYL, [n])[0].value
         ok = ok and ex.exact and ex.value == vex
     ph = sigma_prefix(WeightSpec(Family.H1_RATIO, s=2.0, d=2), 45_000)
     sigh = np.asarray(ph.values)[:N]
     for n in (1, 3, 50, 2000, N):
-        a = width(ph, WidthQuery(Embedding.AMIX_TO_H1, WidthKind.BERNSTEIN, n)).value
-        al2 = width(ph, WidthQuery(Embedding.A_TO_L2, WidthKind.BERNSTEIN, n)).value
-        h = width(ph, WidthQuery(Embedding.HMIX_TO_H1, WidthKind.BERNSTEIN, n)).value
+        a = width(ph, Embedding.AMIX_TO_H1, WidthKind.BERNSTEIN, [n])[0].value
+        al2 = width(ph, Embedding.A_TO_L2, WidthKind.BERNSTEIN, [n])[0].value
+        h = width(ph, Embedding.HMIX_TO_H1, WidthKind.BERNSTEIN, [n])[0].value
         ok = ok and a == al2 and h == sigh[n - 1]
     report(12, "monotonicity and chain", ok,
            f"5 families, all embeddings, n<=1e4, {time.time()-t0:.1f}s")
@@ -330,7 +328,7 @@ def test_c13_preasymptotic_bound():
     t0 = time.time()
     ok = True
     for d in (3, 4):
-        cd = constant(ConstantSpec("preasymptotic", d=d))
+        cd = constant("preasymptotic", d=d)
         expo = 1.0 / (1.0 + math.log2(d - 1))
         p = sigma_prefix(WeightSpec(Family.MIXED_SR, s=1.0, d=d, r=1.0), 2 ** d)
         for n in range(2, 2 ** d + 1):

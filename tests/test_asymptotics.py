@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wienerwidths import (
-    ConstantSpec,
     Embedding,
     Family,
     ResourceLimitError,
@@ -19,51 +18,51 @@ from wienerwidths import (
 
 
 def test_constant_examples():
-    assert constant(ConstantSpec("mix-l2-sigma", s=1.0, d=2)) == 4.0
-    assert constant(ConstantSpec("mix-l2-sigma", s=2.0, d=3)) == 16.0
-    np.testing.assert_allclose(constant(ConstantSpec("transfer-vw", s=2.0)),
+    assert constant("mix-l2-sigma", s=1.0, d=2) == 4.0
+    assert constant("mix-l2-sigma", s=2.0, d=3) == 16.0
+    np.testing.assert_allclose(constant("transfer-vw", s=2.0),
                                math.sqrt(5.0), rtol=0)
-    np.testing.assert_allclose(constant(ConstantSpec("transfer-uv", s=1.0)),
+    np.testing.assert_allclose(constant("transfer-uv", s=1.0),
                                2.0 / 3.0, rtol=1e-15)
-    assert constant(ConstantSpec("preasymptotic", d=3)) == 6.25
-    assert constant(ConstantSpec("h1-constant", s=2.0, d=1)) == 2.0
+    assert constant("preasymptotic", d=3) == 6.25
+    assert constant("h1-constant", s=2.0, d=1) == 2.0
 
 
 def test_constant_power_identity():
     for d in (1, 2, 3, 5):
-        base = constant(ConstantSpec("mix-l2-sigma", s=1.0, d=d))
+        base = constant("mix-l2-sigma", s=1.0, d=d)
         for s in (0.5, 1.5, 2.0, 3.0):
-            assert constant(ConstantSpec("mix-l2-sigma", s=s, d=d)) == base ** s
+            assert constant("mix-l2-sigma", s=s, d=d) == base ** s
 
 
 def test_preasymptotic_d4():
     expect = (1.0 + (1.0 + 2.0 / math.log2(3.0)) / 3.0) ** 3
-    np.testing.assert_allclose(constant(ConstantSpec("preasymptotic", d=4)),
+    np.testing.assert_allclose(constant("preasymptotic", d=4),
                                expect, rtol=1e-15)
 
 
 def test_h1_constant_uses_series():
     S = series_S(2.0, 1e-10)
-    np.testing.assert_allclose(constant(ConstantSpec("h1-constant", s=2.0, d=2)),
+    np.testing.assert_allclose(constant("h1-constant", s=2.0, d=2),
                                4.0 * (2.0 * S + 1.0), rtol=1e-12)
     # d=1 skips the series entirely, so it works even where the series
     # would be expensive
-    assert constant(ConstantSpec("h1-constant", s=4.0, d=1)) == 8.0
+    assert constant("h1-constant", s=4.0, d=1) == 8.0
 
 
 def test_s_series_constant_name():
-    assert constant(ConstantSpec("s-series", s=2.0)) == series_S(2.0, 1e-10)
+    assert constant("s-series", s=2.0) == series_S(2.0, 1e-10)
 
 
 def test_constant_domain_errors():
     with pytest.raises(ValueError, match="d >= 3"):
-        constant(ConstantSpec("preasymptotic", d=2))
+        constant("preasymptotic", d=2)
     with pytest.raises(ValueError, match="s > 1"):
-        constant(ConstantSpec("h1-constant", s=1.0, d=2))
+        constant("h1-constant", s=1.0, d=2)
     with pytest.raises(ValueError, match="required"):
-        constant(ConstantSpec("transfer-uv"))
+        constant("transfer-uv")
     with pytest.raises(ValueError, match="unknown constant"):
-        ConstantSpec("no-such-thing")
+        constant("no-such-thing")
 
 
 def test_series_s2_closed_form():
@@ -107,11 +106,11 @@ def test_series_domain_and_resource():
 def test_convergence_table_mixed_inf_d1():
     spec = WeightSpec(Family.MIXED_INF, s=1.0, d=1)
     p = sigma_prefix(spec, 10 ** 5 + 1)
-    t = convergence_table(p, Embedding.A_TO_A, WidthKind.APPROXIMATION,
+    rows = convergence_table(p, Embedding.A_TO_A, WidthKind.APPROXIMATION,
                           [10 ** 3, 10 ** 4, 10 ** 5], alpha=1.0, beta=0.0,
                           target=2.0)
-    assert [r.n for r in t.rows] == [10 ** 3, 10 ** 4, 10 ** 5]
-    for row in t.rows:
+    assert [r.n for r in rows] == [10 ** 3, 10 ** 4, 10 ** 5]
+    for row in rows:
         assert 2.0 - 1e-12 <= row.ratio <= 2.0 + 3.0 / row.n
         np.testing.assert_allclose(row.ratio, row.raw / row.normalizer, rtol=1e-12)
         assert row.target == 2.0
@@ -120,9 +119,9 @@ def test_convergence_table_mixed_inf_d1():
 def test_convergence_table_h1_d1():
     spec = WeightSpec(Family.H1_RATIO, s=2.0, d=1)
     p = sigma_prefix(spec, 10 ** 5)
-    t = convergence_table(p, Embedding.HMIX_TO_H1, WidthKind.APPROXIMATION,
+    rows = convergence_table(p, Embedding.HMIX_TO_H1, WidthKind.APPROXIMATION,
                           [10 ** 5], alpha=1.0, beta=0.0, target=2.0)
-    assert abs(t.rows[0].ratio - 2.0) < 0.001 * 2.0
+    assert abs(rows[0].ratio - 2.0) < 0.001 * 2.0
 
 
 def test_convergence_table_validation():

@@ -152,6 +152,10 @@ def test_usage_errors_exit_2():
           "--format", "xml"], "invalid choice"),
         (["count", "--s", "2", "--r-grid", "1..5", "--d", "2", "--j", "1"],
          "count --j requires --ell"),
+        (["count", "--s", "2", "--d", "3", "--ell", "2", "--r-grid", "9"],
+         "count takes --d (for C) or --ell (for A), not both"),
+        (["count", "--s", "2", "--d", "2", "--r-ell", "5", "--r-grid", "9"],
+         "count --r-ell requires --j"),
     ]
     for argv, message in cases:
         out = run_cli(*argv)

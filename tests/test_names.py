@@ -1,6 +1,8 @@
-"""Names that other code looks up by string: the ``__all__`` lists and the
-attributes the benchmark's tracer wraps (perfbench/tracing.py).  A deleted
-or renamed function fails here instead of in a traced benchmark run."""
+"""Names that other code looks up by string or imports from outside the
+package: the ``__all__`` lists, the attributes the benchmark's tracer wraps
+(perfbench/tracing.py) and the benchmark's library imports.  A deleted or
+renamed function fails here instead of in a benchmark run."""
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -24,6 +26,21 @@ def test_all_names_resolve():
         missing = [n for n in getattr(module, "__all__", ())
                    if not hasattr(module, n)]
         assert not missing, (module.__name__, missing)
+
+
+def test_benchmark_imports_resolve():
+    # every `from wienerwidths... import name` in the benchmark, including
+    # the imports inside functions that only a benchmark run would execute
+    missing = []
+    for path in sorted(_TRACING.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == wienerwidths.__name__):
+                module = importlib.import_module(node.module)
+                missing += [(path.name, node.module, alias.name)
+                            for alias in node.names
+                            if not hasattr(module, alias.name)]
+    assert not missing, missing
 
 
 def test_tracer_installs_and_restores():

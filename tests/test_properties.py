@@ -18,7 +18,6 @@ from wienerwidths import (
     PrefixTooShortError,
     WeightSpec,
     WidthKind,
-    WidthQuery,
     count_leq,
     sigma_prefix,
     width,
@@ -62,6 +61,9 @@ def test_prefix_matches_box_oracle(family, data, n_max):
     bf = oracle_prefix(spec, n_max)
     # criterion 02's tolerance: the oracle runs through the log domain
     np.testing.assert_allclose(bf.values, fast.values, rtol=1e-12, atol=0)
+    # the SigmaPrefix invariants the sup certificate relies on
+    assert np.all(np.diff(fast.values) <= 0)
+    assert np.all(np.diff(fast.cum_inv_sq) > 0)
 
 
 @_FAMILIES
@@ -82,7 +84,7 @@ def test_count_leq_matches_prefix_ties(family, data, n_max):
 def _check_widths(prefix, n):
     spec = prefix.spec
     sig = prefix.sigma(n)
-    l2 = {k: width(prefix, WidthQuery(Embedding.A_TO_L2, k, n))
+    l2 = {k: width(prefix, Embedding.A_TO_L2, k, [n])[0]
           for k in WidthKind}
     assert all(w.exact for w in l2.values())
     v = l2[WidthKind.BERNSTEIN].value
@@ -96,20 +98,20 @@ def _check_widths(prefix, n):
     for kind in WidthKind:
         # sup-norm and L_p: [same-kind L_2 value, sigma_n]
         for emb, p in ((Embedding.A_TO_LINF, None), (Embedding.A_TO_LP, 3.0)):
-            w = width(prefix, WidthQuery(emb, kind, n, p=p))
+            w = width(prefix, emb, kind, [n], p=p)[0]
             assert (w.lower, w.upper, w.exact) == (l2[kind].value, sig, False)
         for emb in (Embedding.A_TO_A, Embedding.F_TO_L2):
-            w = width(prefix, WidthQuery(emb, kind, n))
+            w = width(prefix, emb, kind, [n])[0]
             assert (w.lower, w.upper, w.exact) == (sig, sig, True)
         if spec.family is Family.H1_RATIO:
-            w = width(prefix, WidthQuery(Embedding.AMIX_TO_H1, kind, n))
+            w = width(prefix, Embedding.AMIX_TO_H1, kind, [n])[0]
             assert w == l2[kind]
-            w = width(prefix, WidthQuery(Embedding.HMIX_TO_H1, kind, n))
+            w = width(prefix, Embedding.HMIX_TO_H1, kind, [n])[0]
             assert (w.lower, w.upper, w.exact) == (sig, sig, True)
         if (spec.family is Family.MIXED_SR and spec.s.is_integer()
                 and spec.r == 2 * spec.s):
             # cmix-to-l2: v exact, u in [sup formula, 2^(d/2) sigma_n]
-            w = width(prefix, WidthQuery(Embedding.CMIX_TO_L2, kind, n))
+            w = width(prefix, Embedding.CMIX_TO_L2, kind, [n])[0]
             if kind in (WidthKind.BERNSTEIN, WidthKind.WEYL):
                 assert w == l2[kind]
             else:

@@ -137,14 +137,6 @@ def test_validation_errors():
         WeightSpec(Family.MIXED_INF, s=1.0, d=2).evaluate((1, 2, 3))
 
 
-def test_asymptotics_supported_flag():
-    assert WeightSpec(Family.MIXED_SR, s=1.0, d=1, r=1.0).asymptotics_supported
-    assert WeightSpec(Family.MIXED_INF, s=1.0, d=1).asymptotics_supported
-    assert WeightSpec(Family.H1_RATIO, s=2.0, d=1).asymptotics_supported
-    assert not WeightSpec(Family.ISOTROPIC_SR, s=1.0, d=1, r=1.0).asymptotics_supported
-    assert not WeightSpec(Family.ISOTROPIC_INF, s=1.0, d=1).asymptotics_supported
-
-
 def _sample_specs():
     return [
         WeightSpec(Family.MIXED_SR, s=1.5, d=2, r=2.0),

@@ -9,7 +9,6 @@ from wienerwidths import (
     PrefixTooShortError,
     WeightSpec,
     WidthKind,
-    WidthQuery,
     sigma_prefix,
     sup_over_h,
     width,
@@ -25,15 +24,15 @@ V_KINDS = [WidthKind.BERNSTEIN, WidthKind.WEYL]
 def test_width_examples_mixed_inf():
     spec = WeightSpec(Family.MIXED_INF, s=2.0, d=2)
     p = sigma_prefix(spec, 400)
-    assert width(p, WidthQuery(Embedding.A_TO_A, WidthKind.APPROXIMATION, 5)).value == 1.0
-    assert width(p, WidthQuery(Embedding.A_TO_L2, WidthKind.BERNSTEIN, 4)).value == 0.5
-    assert width(p, WidthQuery(Embedding.A_TO_L2, WidthKind.APPROXIMATION, 1)).value == 1.0
+    assert width(p, Embedding.A_TO_A, WidthKind.APPROXIMATION, [5])[0].value == 1.0
+    assert width(p, Embedding.A_TO_L2, WidthKind.BERNSTEIN, [4])[0].value == 0.5
+    assert width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, [1])[0].value == 1.0
 
 
 def test_width_example_h1():
     spec = WeightSpec(Family.H1_RATIO, s=2.0, d=1)
     p = sigma_prefix(spec, 50)
-    got = width(p, WidthQuery(Embedding.HMIX_TO_H1, WidthKind.APPROXIMATION, 2)).value
+    got = width(p, Embedding.HMIX_TO_H1, WidthKind.APPROXIMATION, [2])[0].value
     np.testing.assert_allclose(got, 2 ** -0.5, rtol=1e-15)
 
 
@@ -78,7 +77,7 @@ def test_prefix_too_short():
     spec = WeightSpec(Family.MIXED_SR, s=2.0, d=1, r=2.0)
     p = sigma_prefix(spec, 40)
     with pytest.raises(PrefixTooShortError) as exc:
-        width(p, WidthQuery(Embedding.A_TO_L2, WidthKind.APPROXIMATION, 39))
+        width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, [39])
     assert exc.value.required > 40
     # n = n_max + 1 on the sigma, v and sup paths: retry with at least n terms
     for emb, kind in [
@@ -87,7 +86,7 @@ def test_prefix_too_short():
         (Embedding.A_TO_L2, WidthKind.APPROXIMATION),
     ]:
         with pytest.raises(PrefixTooShortError) as exc:
-            width(p, WidthQuery(emb, kind, 41))
+            width(p, emb, kind, [41])
         assert exc.value.required == 41
         assert str(exc.value) == "prefix too short: n=41 > n_max=40"
 
@@ -99,10 +98,10 @@ def test_chain_inequalities_a_to_l2():
     ]:
         p = sigma_prefix(spec, 4000)
         for n in (1, 2, 5, 17, 100, 800):
-            v = width(p, WidthQuery(Embedding.A_TO_L2, WidthKind.BERNSTEIN, n)).value
-            x = width(p, WidthQuery(Embedding.A_TO_L2, WidthKind.WEYL, n)).value
-            u = width(p, WidthQuery(Embedding.A_TO_L2, WidthKind.APPROXIMATION, n)).value
-            dd = width(p, WidthQuery(Embedding.A_TO_L2, WidthKind.KOLMOGOROV, n)).value
+            v = width(p, Embedding.A_TO_L2, WidthKind.BERNSTEIN, [n])[0].value
+            x = width(p, Embedding.A_TO_L2, WidthKind.WEYL, [n])[0].value
+            u = width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, [n])[0].value
+            dd = width(p, Embedding.A_TO_L2, WidthKind.KOLMOGOROV, [n])[0].value
             assert v == x
             assert u == dd
             assert v <= u <= p.sigma(n) * (1 + 1e-12)
@@ -113,8 +112,8 @@ def test_a_to_a_equals_f_to_l2_all_kinds():
     p = sigma_prefix(spec, 500)
     for n in (1, 3, 10, 200, 500):
         for kind in ALL_KINDS:
-            a = width(p, WidthQuery(Embedding.A_TO_A, kind, n)).value
-            f = width(p, WidthQuery(Embedding.F_TO_L2, kind, n)).value
+            a = width(p, Embedding.A_TO_A, kind, [n])[0].value
+            f = width(p, Embedding.F_TO_L2, kind, [n])[0].value
             assert a == f == p.sigma(n)
 
 
@@ -123,9 +122,9 @@ def test_linf_lp_brackets():
     p = sigma_prefix(spec, 2000)
     for n in (1, 4, 40, 300):
         for kind in ALL_KINDS:
-            l2 = width(p, WidthQuery(Embedding.A_TO_L2, kind, n)).value
-            binf = width(p, WidthQuery(Embedding.A_TO_LINF, kind, n))
-            bp = width(p, WidthQuery(Embedding.A_TO_LP, kind, n, p=4.0))
+            l2 = width(p, Embedding.A_TO_L2, kind, [n])[0].value
+            binf = width(p, Embedding.A_TO_LINF, kind, [n])[0]
+            bp = width(p, Embedding.A_TO_LP, kind, [n], p=4.0)[0]
             assert not binf.exact and not bp.exact
             assert binf.lower == bp.lower == l2
             assert binf.upper == bp.upper == p.sigma(n)
@@ -138,50 +137,56 @@ def test_lp_validation():
     spec = WeightSpec(Family.MIXED_INF, s=1.0, d=1)
     p = sigma_prefix(spec, 10)
     with pytest.raises(ValueError):
-        WidthQuery(Embedding.A_TO_LP, WidthKind.APPROXIMATION, 1, p=2.0)
+        width(p, Embedding.A_TO_LP, WidthKind.APPROXIMATION, [1], p=2.0)
     with pytest.raises(ValueError):
-        WidthQuery(Embedding.A_TO_LP, WidthKind.APPROXIMATION, 1, p=math.inf)
+        width(p, Embedding.A_TO_LP, WidthKind.APPROXIMATION, [1], p=math.inf)
     with pytest.raises(ValueError):
-        WidthQuery(Embedding.A_TO_LINF, WidthKind.APPROXIMATION, 1, p=4.0)
+        width(p, Embedding.A_TO_LINF, WidthKind.APPROXIMATION, [1], p=4.0)
     with pytest.raises(ValueError):
-        width(p, WidthQuery(Embedding.A_TO_LP, WidthKind.APPROXIMATION, 1))
+        width(p, Embedding.A_TO_LP, WidthKind.APPROXIMATION, [1])
 
 
 def test_cmix_requires_matching_weight():
     good = sigma_prefix(WeightSpec(Family.MIXED_SR, s=2.0, d=2, r=4.0), 50)
-    v = width(good, WidthQuery(Embedding.CMIX_TO_L2, WidthKind.BERNSTEIN, 3))
+    v = width(good, Embedding.CMIX_TO_L2, WidthKind.BERNSTEIN, [3])[0]
     assert v.exact
     # r must equal 2s with s a positive integer
     bad_r = sigma_prefix(WeightSpec(Family.MIXED_SR, s=2.0, d=2, r=2.0), 50)
     with pytest.raises(ValueError, match="r = 2"):
-        width(bad_r, WidthQuery(Embedding.CMIX_TO_L2, WidthKind.BERNSTEIN, 3))
+        width(bad_r, Embedding.CMIX_TO_L2, WidthKind.BERNSTEIN, [3])
     bad_s = sigma_prefix(WeightSpec(Family.MIXED_SR, s=1.5, d=2, r=3.0), 50)
     with pytest.raises(ValueError, match="integer"):
-        width(bad_s, WidthQuery(Embedding.CMIX_TO_L2, WidthKind.BERNSTEIN, 3))
+        width(bad_s, Embedding.CMIX_TO_L2, WidthKind.BERNSTEIN, [3])
     wrong_family = sigma_prefix(WeightSpec(Family.MIXED_INF, s=2.0, d=2), 50)
     with pytest.raises(ValueError):
-        width(wrong_family, WidthQuery(Embedding.CMIX_TO_L2, WidthKind.BERNSTEIN, 3))
+        width(wrong_family, Embedding.CMIX_TO_L2, WidthKind.BERNSTEIN, [3])
 
 
 def test_cmix_values_d1():
     # m = 1, d = 1: v_2 on the (s=1, r=2) prefix is (1 + 2)^{-1/2}
     p = sigma_prefix(WeightSpec(Family.MIXED_SR, s=1.0, d=1, r=2.0), 800)
-    v = width(p, WidthQuery(Embedding.CMIX_TO_L2, WidthKind.WEYL, 2)).value
+    v = width(p, Embedding.CMIX_TO_L2, WidthKind.WEYL, [2])[0].value
     np.testing.assert_allclose(v, 3 ** -0.5, rtol=1e-15)
-    b = width(p, WidthQuery(Embedding.CMIX_TO_L2, WidthKind.APPROXIMATION, 2))
+    b = width(p, Embedding.CMIX_TO_L2, WidthKind.APPROXIMATION, [2])[0]
     assert not b.exact
-    l2 = width(p, WidthQuery(Embedding.A_TO_L2, WidthKind.APPROXIMATION, 2)).value
+    l2 = width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, [2])[0].value
     assert b.lower == l2
     np.testing.assert_allclose(b.upper, 2 ** 0.5 * p.sigma(2), rtol=1e-15)
 
 
-def test_needs_sup_matches_width_dispatch(monkeypatch):
-    # the predicate the CLI sizes prefixes by must agree with the dispatch
+def _dispatch_prefixes():
+    """A prefix every embedding accepts: h1-ratio for the H^1 embeddings,
+    the (s=1, r=2) mixed weight for cmix-to-l2, mixed-inf for the rest."""
     h1 = sigma_prefix(WeightSpec(Family.H1_RATIO, s=2.0, d=1), 800)
     cmix = sigma_prefix(WeightSpec(Family.MIXED_SR, s=1.0, d=1, r=2.0), 800)
     plain = sigma_prefix(WeightSpec(Family.MIXED_INF, s=1.0, d=1), 800)
     prefixes = {Embedding.HMIX_TO_H1: h1, Embedding.AMIX_TO_H1: h1,
                 Embedding.CMIX_TO_L2: cmix}
+    return [(emb, prefixes.get(emb, plain)) for emb in Embedding]
+
+
+def test_needs_sup_matches_width_dispatch(monkeypatch):
+    # the predicate the CLI sizes prefixes by must agree with the dispatch
     calls = []
     real = widths_mod.sup_over_h
 
@@ -190,27 +195,54 @@ def test_needs_sup_matches_width_dispatch(monkeypatch):
         return real(prefix, n)
 
     monkeypatch.setattr(widths_mod, "sup_over_h", counting)
-    for emb in Embedding:
+    for emb, prefix in _dispatch_prefixes():
         for kind in ALL_KINDS:
             calls.clear()
             p = 4.0 if emb is Embedding.A_TO_LP else None
-            width(prefixes.get(emb, plain), WidthQuery(emb, kind, 3, p=p))
+            width(prefix, emb, kind, [3], p=p)
             assert bool(calls) == needs_sup(emb, kind), (emb, kind)
+
+
+def test_grid_answers_like_its_points():
+    # an unsorted grid with a repeat: one value per entry, in input order,
+    # equal to the single-point answers; the checks see the whole grid
+    grid = [7, 3, 7, 1, 40, 2]
+    for emb, prefix in _dispatch_prefixes():
+        for kind in ALL_KINDS:
+            p = 4.0 if emb is Embedding.A_TO_LP else None
+            got = width(prefix, emb, kind, grid, p=p)
+            assert got == [width(prefix, emb, kind, [n], p=p)[0] for n in grid]
+            top = prefix.n_max + 5
+            for past in ([top] + grid, grid[:3] + [top] + grid[3:], grid + [top]):
+                with pytest.raises(PrefixTooShortError) as exc:
+                    width(prefix, emb, kind, past, p=p)
+                assert exc.value.required == top
+                assert str(exc.value) == (
+                    f"prefix too short: n={top} > n_max={prefix.n_max}"
+                )
+            for bad in (0, 2.5):
+                for at in (0, 3, len(grid)):
+                    with pytest.raises(ValueError) as exc:
+                        width(prefix, emb, kind, grid[:at] + [bad] + grid[at:],
+                              p=p)
+                    assert str(exc.value) == (
+                        f"n must be a positive integer, got {bad!r}"
+                    )
 
 
 def test_h1_embeddings_require_h1_weight():
     p = sigma_prefix(WeightSpec(Family.MIXED_INF, s=2.0, d=2), 50)
     for emb in (Embedding.AMIX_TO_H1, Embedding.HMIX_TO_H1):
         with pytest.raises(ValueError, match="h1-ratio"):
-            width(p, WidthQuery(emb, WidthKind.APPROXIMATION, 3))
+            width(p, emb, WidthKind.APPROXIMATION, [3])
 
 
 def test_amix_h1_equals_a_to_l2_on_h1_weight():
     p = sigma_prefix(WeightSpec(Family.H1_RATIO, s=2.0, d=2), 3000)
     for kind in ALL_KINDS:
         for n in (1, 5, 60, 400):
-            a = width(p, WidthQuery(Embedding.AMIX_TO_H1, kind, n)).value
-            b = width(p, WidthQuery(Embedding.A_TO_L2, kind, n)).value
+            a = width(p, Embedding.AMIX_TO_H1, kind, [n])[0].value
+            b = width(p, Embedding.A_TO_L2, kind, [n])[0].value
             assert a == b
 
 
@@ -229,11 +261,9 @@ def test_monotone_in_n_all_embeddings():
         for emb in embeddings:
             for kind in ALL_KINDS:
                 pv = 4.0 if emb is Embedding.A_TO_LP else None
-                lows, ups = [], []
-                for n in ns:
-                    w = width(prefix, WidthQuery(emb, kind, n, p=pv))
-                    lows.append(w.lower)
-                    ups.append(w.upper)
+                ws = width(prefix, emb, kind, ns, p=pv)
+                lows = [w.lower for w in ws]
+                ups = [w.upper for w in ws]
                 assert all(a >= b - 1e-15 for a, b in zip(lows, lows[1:]))
                 assert all(a >= b - 1e-15 for a, b in zip(ups, ups[1:]))
 
