@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .sigma import SigmaPrefix
-from .widths import Embedding, WidthKind, width
+from .widths import Embedding, WidthKind, is_exact, width
 
 __all__ = [
     "CONSTANT_NAMES",
@@ -53,6 +53,7 @@ __all__ = [
     "constant",
     "series_S",
     "ConvergenceRow",
+    "check_convergence",
     "convergence_table",
     "aux_integral",
 ]
@@ -171,6 +172,26 @@ class ConvergenceRow:
     target: float
 
 
+def check_convergence(
+    embedding: Embedding, kind: WidthKind, n_grid: Sequence[int]
+) -> list[int]:
+    """The grid as a list, or the refusal of a convergence table for it:
+    the grid must be strictly increasing with entries >= 3, and the width
+    exact (a bracket has no single ratio).  Needs no prefix, so a caller can
+    refuse before enumerating one."""
+    grid = [int(n) for n in n_grid]
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("n_grid must be strictly increasing")
+    if grid[0] < 3:
+        raise ValueError("n_grid entries must be >= 3 (ln n normalizer)")
+    if not is_exact(embedding, kind):
+        raise ValueError(
+            f"convergence tables need an exact width; "
+            f"{embedding.value} yields a bracket"
+        )
+    return grid
+
+
 def convergence_table(
     prefix: SigmaPrefix,
     embedding: Embedding,
@@ -183,19 +204,10 @@ def convergence_table(
     """Width values on an increasing n grid, normalized by n^-alpha (ln n)^beta,
     one row per n.
 
-    Only exact-width embeddings are accepted (a bracket has no single ratio).
+    Only exact-width embeddings are accepted (``check_convergence``).
     """
-    grid = [int(n) for n in n_grid]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("n_grid must be strictly increasing")
-    if grid[0] < 3:
-        raise ValueError("n_grid entries must be >= 3 (ln n normalizer)")
+    grid = check_convergence(embedding, kind, n_grid)
     values = width(prefix, embedding, kind, grid)
-    if not all(wv.exact for wv in values):
-        raise ValueError(
-            f"convergence tables need an exact width; "
-            f"{embedding.value} yields a bracket"
-        )
     rows = []
     for n, wv in zip(grid, values):
         norm = n ** (-alpha) * math.log(n) ** beta

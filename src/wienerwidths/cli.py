@@ -35,6 +35,7 @@ from .asymptotics import (
     CONSTANT_NAMES,
     ResourceLimitError,
     aux_integral,
+    check_convergence,
     constant,
     convergence_table,
 )
@@ -235,6 +236,7 @@ def _cmd_converge(args: argparse.Namespace) -> Table:
     embedding = Embedding(args.embedding)
     kind = WidthKind(args.kind)
     grid = _parse_int_list(args.n_grid)
+    check_convergence(embedding, kind, grid)
 
     def compute(prefix):
         return convergence_table(

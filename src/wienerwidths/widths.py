@@ -43,6 +43,20 @@ drops to the incumbent, the incumbent is the supremum and the smallest
 maximizer has already been seen.  This needs nothing beyond sigma being
 nonincreasing, so it is sound in every regime (including flat prefixes,
 where the coarser ceiling 2 sigma_{ceil(h/2)}^2 would never fire).
+
+``width`` evaluates the sup for a whole grid in one forward pass over the
+sorted distinct n, and each scan starts at the previous n's maximizer h
+instead of at n.  This skips no winner: if h' < h loses to h at some n
+(strictly, in floats, hence in reals), it loses at every larger n, because
+both numerators drop by the same amount while S_{h'} < S_h; correctly
+rounded division keeps that order, so a skipped h' never exceeds the value.
+Up to 64 consecutive grid entries are evaluated at once, as one matrix over
+a window of 2048 values of h; each row gets its own argmax and the same
+ceiling test at the window's end, and the leading certified rows are kept.
+When no row certifies (sparse grids, flat prefixes), the first entry falls
+back to the per-n scan ``sup_over_h``, whose maximizer becomes the next
+start and whose PrefixTooShortError propagates unchanged.  Every value is
+the one ``sup_over_h(prefix, n)[0]`` returns, to the last bit.
 """
 from __future__ import annotations
 
@@ -63,6 +77,7 @@ __all__ = [
     "PrefixTooShortError",
     "width",
     "needs_sup",
+    "is_exact",
     "sup_over_h",
 ]
 
@@ -100,10 +115,24 @@ _SUP_EMBEDDINGS = (
 )
 
 
+# the grid pass evaluates up to _BLOCK_ROWS grid entries over a window of
+# _BLOCK_WIDTH values of h at once: one matrix of 64 x 2048 floats, 1 MB
+_BLOCK_ROWS = 64
+_BLOCK_WIDTH = 2048
+
+
 def needs_sup(embedding: Embedding, kind: WidthKind) -> bool:
-    """True when ``width`` evaluates this pair through ``sup_over_h``, whose
+    """True when ``width`` evaluates this pair by the sup formula, whose
     certificate needs a prefix reaching past n."""
     return kind in _U_KINDS and embedding in _SUP_EMBEDDINGS
+
+
+def is_exact(embedding: Embedding, kind: WidthKind) -> bool:
+    """True when ``width`` returns exact values for this pair, False when it
+    returns brackets (a-to-linf, a-to-lp, and the u-kinds of cmix-to-l2)."""
+    if embedding in (Embedding.A_TO_LINF, Embedding.A_TO_LP):
+        return False
+    return not (embedding is Embedding.CMIX_TO_L2 and kind in _U_KINDS)
 
 
 class PrefixTooShortError(ValueError):
@@ -219,22 +248,58 @@ def width(
     def sigma(n: int) -> float:
         return float(prefix.values[n - 1])
 
-    def l2(n: int) -> float:  # the L_2-target width of this kind
-        if kind in _V_KINDS:
-            return float(prefix.cum_inv_sq[n - 1]) ** -0.5
-        return sup_over_h(prefix, n)[0]
-
     if embedding in (Embedding.A_TO_A, Embedding.F_TO_L2, Embedding.HMIX_TO_H1):
         return [WidthValue(v, v, True) for v in map(sigma, ns)]
+    # the L_2-target width of this kind
+    if kind in _V_KINDS:
+        l2 = [float(prefix.cum_inv_sq[n - 1]) ** -0.5 for n in ns]
+    else:
+        l2 = _sup_values(prefix, ns)
     if embedding in (Embedding.A_TO_L2, Embedding.AMIX_TO_H1) or (
         embedding is Embedding.CMIX_TO_L2 and kind in _V_KINDS
     ):
-        return [WidthValue(v, v, True) for v in map(l2, ns)]
+        return [WidthValue(v, v, True) for v in l2]
     if embedding is Embedding.CMIX_TO_L2:
         scale = 2.0 ** (prefix.spec.d / 2.0)
-        return [WidthValue(l2(n), scale * sigma(n), False) for n in ns]
+        return [WidthValue(v, scale * sigma(n), False) for n, v in zip(ns, l2)]
     # a-to-linf, a-to-lp
-    return [WidthValue(l2(n), sigma(n), False) for n in ns]
+    return [WidthValue(v, sigma(n), False) for n, v in zip(ns, l2)]
+
+
+def _sup_values(prefix: SigmaPrefix, ns: Sequence[int]) -> list[float]:
+    """``sup_over_h(prefix, n)[0]`` for every n of ``ns``, in input order, by
+    the warm-started, blocked grid pass of the module docstring."""
+    N = prefix.n_max
+    S = prefix.cum_inv_sq
+    sig = prefix.values
+    order = sorted(set(ns))
+    found: dict[int, float] = {}
+    warm = 1  # maximizer of the last n answered
+    i = 0
+    while i < len(order):
+        rows = np.array(order[i : i + _BLOCK_ROWS])
+        lo = max(order[i], warm)
+        hi = min(lo + _BLOCK_WIDTH - 1, N)
+        hs = np.arange(lo, hi + 1)
+        vals = (hs - (rows[:, None] - 1)) / S[lo - 1 : hi]
+        arg = np.argmax(vals, axis=1)
+        best = vals[np.arange(len(rows)), arg]
+        # sup_over_h's ceiling at hi, one per row
+        b = 1.0 / (sig[hi - 1] * sig[hi - 1])
+        ceiling = np.maximum(
+            (hi - rows + 2) / (S[hi - 1] + b), sig[hi - 1] * sig[hi - 1]
+        )
+        ok = ceiling <= best
+        k = len(rows) if ok.all() else int(np.argmin(ok))
+        if k == 0:
+            value, warm = sup_over_h(prefix, order[i])
+            found[order[i]] = value
+            i += 1
+            continue
+        found.update(zip(order[i : i + k], map(math.sqrt, best[:k].tolist())))
+        warm = lo + int(arg[k - 1])
+        i += k
+    return [found[n] for n in ns]
 
 
 def _require_family(

@@ -296,6 +296,37 @@ def test_failing_row_writes_nothing():
     assert out.stdout == ""
 
 
+def test_converge_refuses_before_enumerating(monkeypatch, capsys):
+    import wienerwidths.cli as cli
+
+    def no_prefix(*args):
+        raise AssertionError("a prefix was enumerated")
+
+    monkeypatch.setattr(cli, "sigma_prefix", no_prefix)
+    base = ["converge", "--family", "mixed-inf", "--s", "1", "--d", "2",
+            "--alpha", "1", "--beta", "1", "--target", "4"]
+    bracket = "convergence tables need an exact width; {} yields a bracket"
+    cases = [
+        ("a-to-linf", "approximation", "1000,10000,100000",
+         bracket.format("a-to-linf")),
+        ("a-to-lp", "approximation", "1000,10000", bracket.format("a-to-lp")),
+        ("cmix-to-l2", "kolmogorov", "1000,10000", bracket.format("cmix-to-l2")),
+        ("a-to-l2", "approximation", "100000,1000",
+         "n_grid must be strictly increasing"),
+        ("a-to-l2", "approximation", "1000,1000",
+         "n_grid must be strictly increasing"),
+        ("a-to-l2", "approximation", "2,1000",
+         "n_grid entries must be >= 3 (ln n normalizer)"),
+    ]
+    for embedding, kind, grid, message in cases:
+        argv = [*base, "--embedding", embedding, "--kind", kind,
+                "--n-grid", grid]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n", argv
+        assert captured.out == ""
+
+
 # A child's ru_maxrss starts at its spawner's peak (exec keeps the high-water
 # mark of the replaced image), so a small interpreter, not pytest, spawns the
 # measured command.

@@ -20,6 +20,7 @@ from wienerwidths import (
     WidthKind,
     count_leq,
     sigma_prefix,
+    sup_over_h,
     width,
 )
 from conftest import oracle_prefix
@@ -136,3 +137,42 @@ def test_width_chain_and_brackets(family, data, n):
         except PrefixTooShortError as exc:
             assert size < 1 << 20, f"no sup certificate for n={n} on {spec}"
             size = max(2 * size, exc.required)
+
+
+@st.composite
+def grids(draw, n_max):
+    """Dense 1..m, sparse, unsorted with repeats, or a range that crosses
+    the grid pass's 64-row blocks and the end of its 2048-wide window."""
+    shape = draw(st.sampled_from(["dense", "sparse", "unsorted", "range"]))
+    if shape == "dense":
+        return list(range(1, draw(st.integers(1, min(n_max, 1500))) + 1))
+    if shape == "range":
+        lo = draw(st.integers(1, n_max))
+        length = draw(st.integers(1, 300))
+        return list(range(lo, min(lo + length, n_max + 1)))
+    entries = st.integers(1, n_max)
+    if shape == "sparse":
+        return sorted(draw(st.sets(entries, min_size=1, max_size=8)))
+    return draw(st.lists(entries, min_size=1, max_size=120))
+
+
+def _outcome(compute):
+    try:
+        return "ok", compute()
+    except PrefixTooShortError as exc:
+        return "short", exc.required
+
+
+@_FAMILIES
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(data=st.data(), n_max=st.integers(1, 6000))
+def test_grid_pass_equals_per_n_scan(family, data, n_max):
+    spec = data.draw(specs(family), label="spec")
+    prefix = sigma_prefix(spec, n_max)
+    grid = data.draw(grids(n_max), label="grid")
+    batch = _outcome(lambda: [
+        w.lower for w in
+        width(prefix, Embedding.A_TO_L2, WidthKind.APPROXIMATION, grid)
+    ])
+    single = _outcome(lambda: [sup_over_h(prefix, n)[0] for n in grid])
+    assert batch == single

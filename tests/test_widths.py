@@ -14,7 +14,7 @@ from wienerwidths import (
     width,
 )
 from wienerwidths import widths as widths_mod
-from wienerwidths.widths import needs_sup
+from wienerwidths.widths import is_exact, needs_sup
 
 ALL_KINDS = list(WidthKind)
 U_KINDS = [WidthKind.APPROXIMATION, WidthKind.KOLMOGOROV]
@@ -186,7 +186,39 @@ def _dispatch_prefixes():
 
 
 def test_needs_sup_matches_width_dispatch(monkeypatch):
-    # the predicate the CLI sizes prefixes by must agree with the dispatch
+    # the predicate the CLI sizes prefixes by must agree with the dispatch:
+    # the grid pass runs iff needs_sup
+    calls = []
+    real = widths_mod._sup_values
+
+    def counting(prefix, ns):
+        calls.append(list(ns))
+        return real(prefix, ns)
+
+    monkeypatch.setattr(widths_mod, "_sup_values", counting)
+    for emb, prefix in _dispatch_prefixes():
+        for kind in ALL_KINDS:
+            calls.clear()
+            p = 4.0 if emb is Embedding.A_TO_LP else None
+            width(prefix, emb, kind, [3], p=p)
+            assert bool(calls) == needs_sup(emb, kind), (emb, kind)
+
+
+def test_is_exact_matches_width():
+    for emb, prefix in _dispatch_prefixes():
+        for kind in ALL_KINDS:
+            p = 4.0 if emb is Embedding.A_TO_LP else None
+            got = width(prefix, emb, kind, [3], p=p)[0].exact
+            assert is_exact(emb, kind) == got, (emb, kind)
+
+
+def test_grid_pass_falls_back_to_per_n_scan(monkeypatch):
+    # a sparse grid: no window starting at the previous maximizer reaches
+    # the certificate of the next n, so those n go through sup_over_h, and
+    # the values are still the per-n ones
+    p = sigma_prefix(WeightSpec(Family.MIXED_INF, s=1.0, d=1), 40000)
+    grid = [100, 1000, 10000]
+    expected = [sup_over_h(p, n)[0] for n in grid]
     calls = []
     real = widths_mod.sup_over_h
 
@@ -195,12 +227,20 @@ def test_needs_sup_matches_width_dispatch(monkeypatch):
         return real(prefix, n)
 
     monkeypatch.setattr(widths_mod, "sup_over_h", counting)
-    for emb, prefix in _dispatch_prefixes():
-        for kind in ALL_KINDS:
-            calls.clear()
-            p = 4.0 if emb is Embedding.A_TO_LP else None
-            width(prefix, emb, kind, [3], p=p)
-            assert bool(calls) == needs_sup(emb, kind), (emb, kind)
+    got = width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, grid)
+    assert [w.value for w in got] == expected
+    assert calls and set(calls) <= set(grid)
+
+
+def test_grid_pass_on_flat_prefix():
+    # the prefix of test_sup_over_h_constant_prefix: n = 1 certifies, n = 7
+    # never does, through the grid pass as through sup_over_h
+    p = sigma_prefix(WeightSpec(Family.MIXED_INF, s=1.0, d=5), 100)
+    got = width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, [1])
+    assert got[0].value == 1.0
+    with pytest.raises(PrefixTooShortError) as exc:
+        width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, [1, 7])
+    assert exc.value.required == 200
 
 
 def test_grid_answers_like_its_points():
