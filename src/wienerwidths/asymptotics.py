@@ -38,6 +38,7 @@ smooth integrand for a > 1, handled by adaptive quadrature (QUADPACK).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -174,22 +175,25 @@ class ConvergenceRow:
 
 def check_convergence(
     embedding: Embedding, kind: WidthKind, n_grid: Sequence[int]
-) -> list[int]:
-    """The grid as a list, or the refusal of a convergence table for it:
-    the grid must be strictly increasing with entries >= 3, and the width
-    exact (a bracket has no single ratio).  Needs no prefix, so a caller can
-    refuse before enumerating one."""
-    grid = [int(n) for n in n_grid]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+) -> None:
+    """Refuse a convergence table for this grid and width: the grid must be
+    strictly increasing with entries >= 3, and the width exact (a bracket
+    has no single ratio).  Needs no prefix, so a caller can refuse before
+    enumerating one; copies nothing, so a lazy ``range`` stays lazy."""
+    if isinstance(n_grid, range):
+        increasing = len(n_grid) == 1 or (len(n_grid) > 1 and n_grid.step > 0)
+    else:
+        pairs = zip(n_grid, itertools.islice(n_grid, 1, None))
+        increasing = len(n_grid) > 0 and all(a < b for a, b in pairs)
+    if not increasing:
         raise ValueError("n_grid must be strictly increasing")
-    if grid[0] < 3:
+    if n_grid[0] < 3:
         raise ValueError("n_grid entries must be >= 3 (ln n normalizer)")
     if not is_exact(embedding, kind):
         raise ValueError(
             f"convergence tables need an exact width; "
             f"{embedding.value} yields a bracket"
         )
-    return grid
 
 
 def convergence_table(
@@ -206,7 +210,8 @@ def convergence_table(
 
     Only exact-width embeddings are accepted (``check_convergence``).
     """
-    grid = check_convergence(embedding, kind, n_grid)
+    check_convergence(embedding, kind, n_grid)
+    grid = [int(n) for n in n_grid]
     values = width(prefix, embedding, kind, grid)
     rows = []
     for n, wv in zip(grid, values):

@@ -163,28 +163,37 @@ def _emit(args: argparse.Namespace, columns: Sequence[str], rows: Iterable) -> N
 # -- prefixes ----------------------------------------------------------------
 
 
-def _prefix(spec: WeightSpec, n: int) -> SigmaPrefix:
-    """The first n rearrangement values, refused above the prefix cap."""
+def _refuse_above_cap(n: int) -> None:
     if n > _PREFIX_CAP:
         raise ResourceLimitError(
             f"prefix cap {_PREFIX_CAP} exceeded: N={n} requested"
         )
+
+
+def _prefix(spec: WeightSpec, n: int) -> SigmaPrefix:
+    """The first n rearrangement values, refused above the prefix cap."""
+    _refuse_above_cap(n)
     if n >= _PROGRESS_AT:
         print(f"computing rearrangement prefix, N={n} ...", file=sys.stderr)
     return sigma_prefix(spec, n)
 
 
-def _prefix_with_retry(
-    spec: WeightSpec, n_hi: int, sup: bool, prefix_n: int | None, compute
-):
-    """Run `compute(prefix)`, growing the prefix until the sup certificate
-    fits; the starting size comes from --prefix-n when given."""
+def _start_size(n_hi: int, sup: bool, prefix_n: int | None) -> int:
+    """The first prefix length to enumerate, refused above the prefix cap;
+    it comes from --prefix-n when given."""
     if prefix_n is not None:
         n = max(prefix_n, n_hi)
     elif sup:
         n = max(n_hi, min(max(64, 4 * n_hi), _PREFIX_CAP))
     else:
         n = n_hi
+    _refuse_above_cap(n)
+    return n
+
+
+def _prefix_with_retry(spec: WeightSpec, n: int, compute):
+    """Run `compute(prefix)` from a prefix of n terms, growing the prefix
+    until the sup certificate fits."""
     while True:
         prefix = _prefix(spec, n)
         try:
@@ -225,9 +234,8 @@ def _cmd_width(args: argparse.Namespace) -> Table:
         values = width(prefix, embedding, kind, ns, p=args.p)
         return [[n, wv.lower, wv.upper, wv.exact] for n, wv in zip(ns, values)]
 
-    rows = _prefix_with_retry(
-        spec, max(ns), needs_sup(embedding, kind), args.prefix_n, compute
-    )
+    n = _start_size(max(ns), needs_sup(embedding, kind), args.prefix_n)
+    rows = _prefix_with_retry(spec, n, compute)
     return ["n", "lower", "upper", "exact"], rows
 
 
@@ -236,6 +244,8 @@ def _cmd_converge(args: argparse.Namespace) -> Table:
     embedding = Embedding(args.embedding)
     kind = WidthKind(args.kind)
     grid = _parse_int_list(args.n_grid)
+    # the cap refusal comes first, as when it came with the enumeration
+    n = _start_size(max(grid), needs_sup(embedding, kind), args.prefix_n)
     check_convergence(embedding, kind, grid)
 
     def compute(prefix):
@@ -243,9 +253,7 @@ def _cmd_converge(args: argparse.Namespace) -> Table:
             prefix, embedding, kind, grid, args.alpha, args.beta, args.target
         )
 
-    table = _prefix_with_retry(
-        spec, max(grid), needs_sup(embedding, kind), args.prefix_n, compute
-    )
+    table = _prefix_with_retry(spec, n, compute)
     rows = [[r.n, r.raw, r.normalizer, r.ratio, r.target] for r in table]
     return ["n", "raw", "normalizer", "ratio", "target"], rows
 

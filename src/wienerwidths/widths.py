@@ -53,13 +53,18 @@ rounded division keeps that order, so a skipped h' never exceeds the value.
 Up to 64 consecutive grid entries are evaluated at once, as one matrix over
 a window of 2048 values of h; each row gets its own argmax and the same
 ceiling test at the window's end, and the leading certified rows are kept.
-When no row certifies (sparse grids, flat prefixes), the first entry falls
-back to the per-n scan ``sup_over_h``, whose maximizer becomes the next
-start and whose PrefixTooShortError propagates unchanged.  Every value is
-the one ``sup_over_h(prefix, n)[0]`` returns, to the last bit.
+Entries past the window's end are left out of the block, since they cannot
+certify in it.  When the block would hold one row (sparse grids) or no row
+certifies (flat prefixes), the first entry falls back to the per-n scan
+``sup_over_h``, whose maximizer becomes the next start and whose
+PrefixTooShortError propagates unchanged.  The block after a fallback holds
+at most two rows, and each certified block doubles that back up to 64, so a
+run of fallbacks wastes little.  Every value is the one
+``sup_over_h(prefix, n)[0]`` returns, to the last bit.
 """
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -255,9 +260,7 @@ def width(
         l2 = [float(prefix.cum_inv_sq[n - 1]) ** -0.5 for n in ns]
     else:
         l2 = _sup_values(prefix, ns)
-    if embedding in (Embedding.A_TO_L2, Embedding.AMIX_TO_H1) or (
-        embedding is Embedding.CMIX_TO_L2 and kind in _V_KINDS
-    ):
+    if is_exact(embedding, kind):
         return [WidthValue(v, v, True) for v in l2]
     if embedding is Embedding.CMIX_TO_L2:
         scale = 2.0 ** (prefix.spec.d / 2.0)
@@ -275,30 +278,37 @@ def _sup_values(prefix: SigmaPrefix, ns: Sequence[int]) -> list[float]:
     order = sorted(set(ns))
     found: dict[int, float] = {}
     warm = 1  # maximizer of the last n answered
+    take = _BLOCK_ROWS  # most rows in the next block
     i = 0
     while i < len(order):
-        rows = np.array(order[i : i + _BLOCK_ROWS])
         lo = max(order[i], warm)
         hi = min(lo + _BLOCK_WIDTH - 1, N)
-        hs = np.arange(lo, hi + 1)
-        vals = (hs - (rows[:, None] - 1)) / S[lo - 1 : hi]
-        arg = np.argmax(vals, axis=1)
-        best = vals[np.arange(len(rows)), arg]
-        # sup_over_h's ceiling at hi, one per row
-        b = 1.0 / (sig[hi - 1] * sig[hi - 1])
-        ceiling = np.maximum(
-            (hi - rows + 2) / (S[hi - 1] + b), sig[hi - 1] * sig[hi - 1]
-        )
-        ok = ceiling <= best
-        k = len(rows) if ok.all() else int(np.argmin(ok))
+        # a row with n > hi has no h >= n in the window and cannot certify
+        j = bisect.bisect_right(order, hi, i, min(i + take, len(order)))
+        k = 0
+        if j - i > 1:  # one row alone goes to the per-n scan
+            rows = np.array(order[i:j])
+            hs = np.arange(lo, hi + 1)
+            vals = (hs - (rows[:, None] - 1)) / S[lo - 1 : hi]
+            arg = np.argmax(vals, axis=1)
+            best = vals[np.arange(len(rows)), arg]
+            # sup_over_h's ceiling at hi, one per row
+            b = 1.0 / (sig[hi - 1] * sig[hi - 1])
+            ceiling = np.maximum(
+                (hi - rows + 2) / (S[hi - 1] + b), sig[hi - 1] * sig[hi - 1]
+            )
+            ok = ceiling <= best
+            k = len(rows) if ok.all() else int(np.argmin(ok))
         if k == 0:
             value, warm = sup_over_h(prefix, order[i])
             found[order[i]] = value
             i += 1
+            take = 2
             continue
         found.update(zip(order[i : i + k], map(math.sqrt, best[:k].tolist())))
         warm = lo + int(arg[k - 1])
         i += k
+        take = min(2 * take, _BLOCK_ROWS)
     return [found[n] for n in ns]
 
 

@@ -173,6 +173,9 @@ def test_prefix_cap_refused_before_enumeration():
         [*width_args, "--n", "4e7"],
         [*width_args, "--n", "1..40000000"],
         [*width_args, "--n", "5", "--prefix-n", "40000000"],
+        ["converge", *weight, "--embedding", "a-to-l2",
+         "--kind", "approximation", "--n-grid", "1..40000000",
+         "--alpha", "1", "--beta", "1", "--target", "4"],
     ]
     for argv in cases:
         start = time.monotonic()
