@@ -10,7 +10,6 @@ from .weights import Family, WeightSpec, log_weight_box
 from .sigma import (
     BoxTooSmallError,
     CumSumOverflowError,
-    OrbitEntry,
     SigmaPrefix,
     count_leq,
     iter_orbits,
@@ -28,7 +27,6 @@ from .widths import (
 )
 from .asymptotics import (
     CONSTANT_NAMES,
-    ConvergenceRow,
     ResourceLimitError,
     aux_integral,
     constant,
@@ -36,9 +34,6 @@ from .asymptotics import (
     series_S,
 )
 from .lattice_count import (
-    AppendixReport,
-    AppendixRow,
-    SplitCell,
     count_A,
     count_A_split,
     count_C,
@@ -53,7 +48,6 @@ __all__ = [
     "Family",
     "WeightSpec",
     "log_weight_box",
-    "OrbitEntry",
     "SigmaPrefix",
     "BoxTooSmallError",
     "CumSumOverflowError",
@@ -72,12 +66,8 @@ __all__ = [
     "ResourceLimitError",
     "constant",
     "series_S",
-    "ConvergenceRow",
     "convergence_table",
     "aux_integral",
-    "SplitCell",
-    "AppendixRow",
-    "AppendixReport",
     "count_C",
     "count_A",
     "count_A_split",

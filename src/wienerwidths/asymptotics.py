@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +52,6 @@ __all__ = [
     "ResourceLimitError",
     "constant",
     "series_S",
-    "ConvergenceRow",
     "check_convergence",
     "convergence_table",
     "aux_integral",
@@ -136,6 +134,11 @@ def series_S(s: float, tol: float = 1e-10) -> float:
         raise ValueError("tol must be positive")
     p = s / (2.0 * (s - 1.0))
     a = 2.0 * p - 1.0  # > 0 since p > 1/2 for s > 1
+    if not a > 0:  # p rounds to 1/2 from s ~ 1e16 on
+        raise ResourceLimitError(
+            f"series tolerance {tol} unreachable for s={s}: "
+            f"the tail exponent 2p-1 rounds to {a}"
+        )
 
     def tail_bounds(K: int) -> tuple[float, float]:
         upper = K ** (-a) / a
@@ -162,15 +165,6 @@ def series_S(s: float, tol: float = 1e-10) -> float:
         parts.append(float(np.sum((k * k + 1.0) ** (-p))))
     partial = math.fsum(parts)
     return partial + (upper + lower) / 2.0
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    raw: float  # the width itself
-    normalizer: float  # n^-alpha (ln n)^beta
-    ratio: float  # raw / normalizer
-    target: float
 
 
 def check_convergence(
@@ -203,10 +197,10 @@ def convergence_table(
     n_grid: Sequence[int],
     alpha: float,
     beta: float,
-    target: float,
-) -> tuple[ConvergenceRow, ...]:
-    """Width values on an increasing n grid, normalized by n^-alpha (ln n)^beta,
-    one row per n.
+) -> list[tuple[int, float, float, float]]:
+    """Width values on an increasing n grid, normalized by n^-alpha (ln n)^beta:
+    one ``(n, raw, normalizer, ratio)`` row per n, where raw is the width and
+    ratio is raw / normalizer.
 
     Only exact-width embeddings are accepted (``check_convergence``).
     """
@@ -216,8 +210,8 @@ def convergence_table(
     rows = []
     for n, wv in zip(grid, values):
         norm = n ** (-alpha) * math.log(n) ** beta
-        rows.append(ConvergenceRow(n, wv.value, norm, wv.value / norm, target))
-    return tuple(rows)
+        rows.append((n, wv.value, norm, wv.value / norm))
+    return rows
 
 
 def aux_integral(s: float, beta: float, a: float, n: float) -> float:
@@ -229,7 +223,7 @@ def aux_integral(s: float, beta: float, a: float, n: float) -> float:
     """
     if not s > 0:
         raise ValueError("requires s > 0")
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("requires beta >= 0")
     if not a > 1:
         raise ValueError("requires a > 1 (the lower endpoint must keep ln(yn) > 0)")
@@ -242,7 +236,7 @@ def aux_integral(s: float, beta: float, a: float, n: float) -> float:
         return y**s * (ln_n / math.log(y * n)) ** beta
 
     val, err = quad(f, a / n, 1.0, epsabs=1e-12, epsrel=1e-12, limit=500)
-    if err > 1e-10:
+    if not err <= 1e-10:
         raise ResourceLimitError(
             f"quadrature error estimate {err:.3g} exceeds 1e-10"
         )

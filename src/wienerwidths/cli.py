@@ -249,12 +249,12 @@ def _cmd_converge(args: argparse.Namespace) -> Table:
     check_convergence(embedding, kind, grid)
 
     def compute(prefix):
-        return convergence_table(
-            prefix, embedding, kind, grid, args.alpha, args.beta, args.target
+        table = convergence_table(
+            prefix, embedding, kind, grid, args.alpha, args.beta
         )
+        return [[*row, args.target] for row in table]
 
-    table = _prefix_with_retry(spec, n, compute)
-    rows = [[r.n, r.raw, r.normalizer, r.ratio, r.target] for r in table]
+    rows = _prefix_with_retry(spec, n, compute)
     return ["n", "raw", "normalizer", "ratio", "target"], rows
 
 
@@ -294,19 +294,8 @@ def _cmd_count(args: argparse.Namespace) -> Table:
 def _cmd_appendix_verify(args: argparse.Namespace) -> Table:
     s_frac = Fraction(args.s)
     grid = _parse_int_list(args.r_grid)
-    report = verify_appendix_limits(s_frac, args.d, grid, tol=args.tol)
-    rows = []
-    for row in report.rows:
-        rows.append(
-            ["c", row.r, None, None, None, row.count_c, row.c_over_r,
-             report.c_over_r_target, None]
-        )
-        for cell in row.cells:
-            section = "a" if cell.j is None else "a-split"
-            rows.append(
-                [section, row.r, cell.ell, cell.j, cell.r_ell, cell.count,
-                 cell.ratio, cell.target, None]
-            )
+    table = verify_appendix_limits(s_frac, args.d, grid, tol=args.tol)
+    rows = [[*row, None] for row in table]
     if args.sandwich_r:
         for r in _parse_int_list(args.sandwich_r):
             ok = sandwich_check(s_frac, args.d, r)

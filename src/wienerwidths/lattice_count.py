@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -58,9 +57,6 @@ from .sigma import sigma_prefix
 from .weights import Family, WeightSpec
 
 __all__ = [
-    "SplitCell",
-    "AppendixRow",
-    "AppendixReport",
     "count_C",
     "count_A",
     "count_A_split",
@@ -145,9 +141,16 @@ def _count(s, r: int, ranges: list[tuple[int, int]], signed: bool) -> int:
         if len(nonzero) <= 1:
             return max(point) <= r  # omega(m e_1) = (1+m^2)^((s-1)/2)
         if q <= _EXACT_DENOMINATOR_CAP:
-            lhs = math.prod((1 + v * v) ** p for v in nonzero)
-            sq = sum(v * v for v in nonzero)
-            return lhs <= (1 + r * r) ** (p - q) * (1 + sq) ** q
+            # x^p <= y^(p-q) z^q reads (x/y)^p <= (z/y)^q, and x > z with
+            # two nonzero coordinates: when z <= y <= x the left side is at
+            # least 1 and the right side less, so the powers, whose size
+            # grows with p, are needed only when both lie on the same side
+            x = math.prod(1 + v * v for v in nonzero)
+            y = 1 + r * r
+            z = 1 + sum(v * v for v in nonzero)
+            if z <= y <= x:
+                return False
+            return x ** p <= y ** (p - q) * z ** q
         nonlocal ambiguous
         if leaf:  # elsewhere a guess only keeps a branch open
             ambiguous += 2 ** len(nonzero) if signed else 1
@@ -216,43 +219,18 @@ def split_cut(s, r: int, ell: int) -> int:
     return max(1, math.floor(r ** lambda_split_exponent(s, ell)))
 
 
-@dataclass(frozen=True)
-class SplitCell:
-    """A(r, ell) (j is None) or A(r, ell, j), with its r-normalized ratio."""
-
-    ell: int
-    j: int | None
-    r_ell: int
-    count: int
-    ratio: float  # count / r
-    target: float | None  # S^(ell-1) at j=ell-1, 0.0 at other j, None for A
-
-
-@dataclass(frozen=True)
-class AppendixRow:
-    r: int
-    count_c: int
-    c_over_r: float
-    cells: tuple[SplitCell, ...]
-
-
-@dataclass(frozen=True)
-class AppendixReport:
-    s: str
-    d: int
-    series_value: float  # S
-    c_over_r_target: float  # 2d (2S+1)^(d-1)
-    rows: tuple[AppendixRow, ...]
-
-
 def verify_appendix_limits(
     s, d: int, r_grid: Sequence[int], tol: float = 1e-10
-) -> AppendixReport:
-    """Finite-r ratios of all counts against their proven limits.
+) -> list[tuple]:
+    """Finite-r ratios of all counts against their proven limits, as
+    ``(section, r, ell, j, r_ell, count, ratio, target)`` rows.
 
-    For each r in the grid: C(r, d)/r against 2d (2S+1)^(d-1), and for each
-    support size l in 2..d with the midpoint cut r_l = floor(r^lambda_l):
-    A(r, l) plus the full split A(r, l, j), j = 0..l, each normalized by r.
+    For each r in the grid: a ``c`` row, C(r, d) with ratio C(r, d)/r and
+    target 2d (2S+1)^(d-1); then for each support size l in 2..d, with the
+    midpoint cut r_l = floor(r^lambda_l), an ``a`` row for A(r, l) (no
+    target) followed by the ``a-split`` rows for A(r, l, j), j = 0..l, whose
+    target is S^(l-1) at j = l-1 and 0.0 elsewhere.  Every ratio is the
+    count over r; ell, j and r_ell are None where they do not apply.
     """
     frac = _smoothness(s)
     _require_positive("d", d)
@@ -261,21 +239,19 @@ def verify_appendix_limits(
         raise ValueError("r_grid entries must be >= 1")
     S = series_S(float(frac), tol)
     target_c = 2.0 * d * (2.0 * S + 1.0) ** (d - 1)
-
-    def row(r: int) -> AppendixRow:
+    rows: list[tuple] = []
+    for r in grid:
         c = count_C(frac, r, d)
-        cells: list[SplitCell] = []
+        rows.append(("c", r, None, None, None, c, c / r, target_c))
         for ell in range(2, d + 1):
             r_ell = split_cut(frac, r, ell)
             a_total = count_A(frac, r, ell)
-            cells.append(SplitCell(ell, None, r_ell, a_total, a_total / r, None))
+            rows.append(("a", r, ell, None, r_ell, a_total, a_total / r, None))
             for j in range(ell + 1):
                 cnt = count_A_split(frac, r, ell, j, r_ell)
                 target = S ** (ell - 1) if j == ell - 1 else 0.0
-                cells.append(SplitCell(ell, j, r_ell, cnt, cnt / r, target))
-        return AppendixRow(r, c, c / r, tuple(cells))
-
-    return AppendixReport(str(frac), d, S, target_c, tuple(row(r) for r in grid))
+                rows.append(("a-split", r, ell, j, r_ell, cnt, cnt / r, target))
+    return rows
 
 
 def sandwich_check(s, d: int, r: int) -> bool:

@@ -47,7 +47,6 @@ import numpy as np
 from .weights import WeightSpec, log_weight_box
 
 __all__ = [
-    "OrbitEntry",
     "SigmaPrefix",
     "CumSumOverflowError",
     "BoxTooSmallError",
@@ -70,16 +69,6 @@ class BoxTooSmallError(ValueError):
     """Brute-force box cannot certify the requested prefix."""
 
 
-@dataclass(frozen=True)
-class OrbitEntry:
-    """One orbit of the sign/permutation action, in enumeration order."""
-
-    rep: tuple[int, ...]  # |k_i| sorted nonincreasing
-    weight: float  # omega at the representative
-    log_weight: float  # heap key; exp(log_weight) == weight to ~1e-12
-    multiplicity: int  # number of lattice points in the orbit
-
-
 def orbit_multiplicity(rep: Sequence[int]) -> int:
     """Number of distinct signed permutations of a canonical representative."""
     nonzero = sum(1 for v in rep if v)
@@ -89,13 +78,16 @@ def orbit_multiplicity(rep: Sequence[int]) -> int:
     return (1 << nonzero) * perms
 
 
-def iter_orbits(spec: WeightSpec) -> Iterator[OrbitEntry]:
-    """Yield orbits in nondecreasing weight order (lex tie-break), forever."""
+def iter_orbits(spec: WeightSpec) -> Iterator[tuple[float, tuple[int, ...]]]:
+    """Yield orbits in nondecreasing weight order (lex tie-break), forever,
+    as ``(log_weight, rep)``: the heap key, with exp(log_weight) equal to
+    omega at rep to ~1e-12, and the representative, |k_i| sorted
+    nonincreasing."""
     d = spec.d
     heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (0,) * d)]
     while heap:
         lw, rep = heapq.heappop(heap)
-        yield OrbitEntry(rep, spec.evaluate(rep), lw, orbit_multiplicity(rep))
+        yield lw, rep
         # locate the last nonzero position
         p = d - 1
         while p >= 0 and rep[p] == 0:
@@ -151,12 +143,12 @@ def sigma_prefix(spec: WeightSpec, n_max: int) -> SigmaPrefix:
     filled = 0
     total = 0.0  # Neumaier-compensated running sum of sigma^-2
     comp = 0.0
-    for orb in iter_orbits(spec):
-        w = orb.weight
+    for _, rep in iter_orbits(spec):
+        w = spec.evaluate(rep)
         inv_sq = w * w
         if not math.isfinite(inv_sq):
             raise CumSumOverflowError("cumsum overflow; reduce N or s")
-        take = min(orb.multiplicity, n_max - filled)
+        take = min(orbit_multiplicity(rep), n_max - filled)
         v = 1.0 / w
         if filled and v > values[filled - 1]:
             # equal-weight orbits can cross by one ulp between the log heap

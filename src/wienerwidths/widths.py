@@ -105,9 +105,8 @@ class WidthKind(enum.Enum):
     WEYL = "weyl"
 
 
-# kinds sharing the sup formula (u) and the sum formula (v)
+# kinds sharing the sup formula (u); the others share the sum formula (v)
 _U_KINDS = (WidthKind.APPROXIMATION, WidthKind.KOLMOGOROV)
-_V_KINDS = (WidthKind.BERNSTEIN, WidthKind.WEYL)
 
 # embeddings whose u-kind widths come from the sup formula (exact or as the
 # lower end of a bracket)
@@ -256,10 +255,10 @@ def width(
     if embedding in (Embedding.A_TO_A, Embedding.F_TO_L2, Embedding.HMIX_TO_H1):
         return [WidthValue(v, v, True) for v in map(sigma, ns)]
     # the L_2-target width of this kind
-    if kind in _V_KINDS:
-        l2 = [float(prefix.cum_inv_sq[n - 1]) ** -0.5 for n in ns]
-    else:
+    if needs_sup(embedding, kind):
         l2 = _sup_values(prefix, ns)
+    else:
+        l2 = [float(prefix.cum_inv_sq[n - 1]) ** -0.5 for n in ns]
     if is_exact(embedding, kind):
         return [WidthValue(v, v, True) for v in l2]
     if embedding is Embedding.CMIX_TO_L2:

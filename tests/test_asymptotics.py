@@ -15,6 +15,7 @@ from wienerwidths import (
     series_S,
     sigma_prefix,
 )
+from wienerwidths.cli import main
 
 
 def test_constant_examples():
@@ -107,21 +108,33 @@ def test_convergence_table_mixed_inf_d1():
     spec = WeightSpec(Family.MIXED_INF, s=1.0, d=1)
     p = sigma_prefix(spec, 10 ** 5 + 1)
     rows = convergence_table(p, Embedding.A_TO_A, WidthKind.APPROXIMATION,
-                          [10 ** 3, 10 ** 4, 10 ** 5], alpha=1.0, beta=0.0,
-                          target=2.0)
-    assert [r.n for r in rows] == [10 ** 3, 10 ** 4, 10 ** 5]
-    for row in rows:
-        assert 2.0 - 1e-12 <= row.ratio <= 2.0 + 3.0 / row.n
-        np.testing.assert_allclose(row.ratio, row.raw / row.normalizer, rtol=1e-12)
-        assert row.target == 2.0
+                             [10 ** 3, 10 ** 4, 10 ** 5], alpha=1.0, beta=0.0)
+    assert [n for n, *_ in rows] == [10 ** 3, 10 ** 4, 10 ** 5]
+    for n, raw, normalizer, ratio in rows:
+        assert 2.0 - 1e-12 <= ratio <= 2.0 + 3.0 / n
+        np.testing.assert_allclose(ratio, raw / normalizer, rtol=1e-12)
 
 
 def test_convergence_table_h1_d1():
     spec = WeightSpec(Family.H1_RATIO, s=2.0, d=1)
     p = sigma_prefix(spec, 10 ** 5)
     rows = convergence_table(p, Embedding.HMIX_TO_H1, WidthKind.APPROXIMATION,
-                          [10 ** 5], alpha=1.0, beta=0.0, target=2.0)
-    assert abs(rows[0].ratio - 2.0) < 0.001 * 2.0
+                             [10 ** 5], alpha=1.0, beta=0.0)
+    [(_, _, _, ratio)] = rows
+    assert abs(ratio - 2.0) < 0.001 * 2.0
+
+
+def test_converge_target_column(capsys):
+    # convergence_table has no target; converge appends --target to each row
+    argv = ["converge", "--family", "mixed-inf", "--s", "1", "--d", "1",
+            "--embedding", "a-to-a", "--kind", "approximation",
+            "--n-grid", "10,100,1000", "--alpha", "1", "--beta", "0",
+            "--target", "1.3333333333333333"]
+    assert main(argv) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == "n,raw,normalizer,ratio,target"
+    assert [line.split(",")[0] for line in lines] == ["10", "100", "1000"]
+    assert all(float(line.split(",")[-1]) == 4.0 / 3.0 for line in lines)
 
 
 def test_convergence_table_validation():
@@ -129,13 +142,13 @@ def test_convergence_table_validation():
     p = sigma_prefix(spec, 100)
     with pytest.raises(ValueError, match="increasing"):
         convergence_table(p, Embedding.A_TO_A, WidthKind.APPROXIMATION,
-                          [10, 10], alpha=1.0, beta=0.0, target=1.0)
+                          [10, 10], alpha=1.0, beta=0.0)
     with pytest.raises(ValueError, match=">= 3"):
         convergence_table(p, Embedding.A_TO_A, WidthKind.APPROXIMATION,
-                          [2, 10], alpha=1.0, beta=0.0, target=1.0)
+                          [2, 10], alpha=1.0, beta=0.0)
     with pytest.raises(ValueError, match="exact"):
         convergence_table(p, Embedding.A_TO_LINF, WidthKind.APPROXIMATION,
-                          [10, 20], alpha=1.0, beta=0.0, target=1.0)
+                          [10, 20], alpha=1.0, beta=0.0)
 
 
 def test_aux_integral_beta0_closed_form():

@@ -123,6 +123,12 @@ def test_exit_code_domain_error():
     out = run_cli("count", "--s", "2", "--r-grid", "1..5")
     assert out.returncode == 2
     assert "count requires --d (for C) or --ell (for A)" in out.stderr
+    # NaN fails every comparison, so the checks are written to refuse it
+    out = run_cli("integral", "--s", "1", "--beta", "nan", "--a", "2",
+                  "--n-grid", "100")
+    assert out.returncode == 2
+    assert out.stderr == "error: requires beta >= 0\n"
+    assert out.stdout == ""
 
 
 def test_exit_code_resource_cap():
@@ -130,6 +136,16 @@ def test_exit_code_resource_cap():
                   "--tol", "1e-14")
     assert out.returncode == 3
     assert "error:" in out.stderr
+    # from s ~ 1e16 on the series exponent 2p - 1 rounds to 0
+    for argv in (["constants", "--name", "s-series", "--s", "1e300"],
+                 ["appendix-verify", "--s", "1e300", "--d", "2",
+                  "--r-grid", "3"]):
+        out = run_cli(*argv)
+        assert out.returncode == 3, argv
+        assert out.stderr.startswith("error: series tolerance 1e-10 "
+                                     "unreachable for s=1e+300"), out.stderr
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
 
 
 def test_appendix_verify_smoke():

@@ -1,5 +1,8 @@
+import decimal
 import itertools
 import math
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from math import comb
@@ -18,6 +21,7 @@ from wienerwidths import (
     count_leq,
     lambda_split_exponent,
     sandwich_check,
+    series_S,
     verify_appendix_limits,
 )
 from wienerwidths.lattice_count import split_cut
@@ -58,6 +62,45 @@ def test_count_matches_direct_grid():
         s = Fraction(s_num, s_den)
         for r, d in [(3, 2), (5, 2), (4, 3)]:
             assert count_C(s, r, d) == _scan_C(s, r, d)
+
+
+def _scan_C_log(s: Fraction, r: int, d: int) -> int:
+    """Oracle for numerators too large for _scan_C: the membership test as
+    p ln(X/Y) <= q ln(Z/Y), X = prod(1+k_i^2), Y = 1+r^2, Z = 1+|k|^2, in
+    60-digit decimals.  For r <= 8 and p/q >= 10^4 the two sides are both
+    exactly 0 or differ by far more than that rounding."""
+    ctx = decimal.Context(prec=60)
+    y = 1 + r * r
+    brute = 0
+    for k in itertools.product(range(-r, r + 1), repeat=d):
+        x = math.prod(1 + v * v for v in k)
+        z = 1 + sum(v * v for v in k)
+        lhs = ctx.multiply(s.numerator, ctx.ln(ctx.divide(x, y)))
+        rhs = ctx.multiply(s.denominator, ctx.ln(ctx.divide(z, y)))
+        brute += lhs <= rhs
+    return brute
+
+
+def test_count_matches_direct_grid_large_numerator():
+    for d in (1, 2):
+        for r in range(1, 9):
+            assert count_C(10 ** 4, r, d) == _scan_C(Fraction(10 ** 4), r, d)
+    # at s = 10^12 the guard band holds points off the axes, such as (2, 1)
+    # at r = 3 with X = 10 = Y, whose integer test must not raise to the
+    # power 10^12; the subprocess timeout turns a regression into a failure
+    # instead of a hang
+    out = subprocess.run(
+        [sys.executable, "-m", "wienerwidths.cli", "count", "--s", "1e12",
+         "--d", "2", "--r-grid", "1..8"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0
+    header, *lines = out.stdout.splitlines()
+    assert header == "kind,s,r,dim,j,r_ell,count"
+    assert lines[2] == "C,1e12,3,2,,,17"
+    assert [int(line.rsplit(",", 1)[1]) for line in lines] == [
+        _scan_C_log(Fraction(10 ** 12), r, 2) for r in range(1, 9)
+    ]
 
 
 @settings(derandomize=True, deadline=None, max_examples=1000)
@@ -171,24 +214,31 @@ def test_sandwich_check():
 
 
 def test_appendix_report_shapes_and_trend():
-    report = verify_appendix_limits(2, 2, [25, 50, 100, 200])
-    assert [row.r for row in report.rows] == [25, 50, 100, 200]
-    S = report.series_value
-    np.testing.assert_allclose(report.c_over_r_target, 4.0 * (2.0 * S + 1.0),
-                               rtol=1e-12)
-    ratios = [row.c_over_r for row in report.rows]
+    rows = verify_appendix_limits(2, 2, [25, 50, 100, 200])
+    # print order: per r the c row, the a row and its splits j = 0..2
+    assert [(row[0], row[3]) for row in rows] == [
+        ("c", None), ("a", None), ("a-split", 0), ("a-split", 1), ("a-split", 2)
+    ] * 4
+    c_rows = [row for row in rows if row[0] == "c"]
+    assert [r for _, r, *_ in c_rows] == [25, 50, 100, 200]
+    S = series_S(2.0)
+    for *_, target in c_rows:
+        np.testing.assert_allclose(target, 4.0 * (2.0 * S + 1.0), rtol=1e-12)
+    ratios = [ratio for *_, ratio, _ in c_rows]
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
-    assert all(rt < report.c_over_r_target for rt in ratios)
-    for row in report.rows:
-        split_cells = [c for c in row.cells if c.j is not None]
-        assert {c.ell for c in row.cells} == {2}
-        # the dominant split cell carries the S^{l-1} target
-        dom = [c for c in split_cells if c.j == c.ell - 1]
+    assert all(ratio < target for *_, ratio, target in c_rows)
+    for r in (25, 50, 100, 200):
+        cells = [row for row in rows if row[0] != "c" and row[1] == r]
+        split_cells = [row for row in cells if row[0] == "a-split"]
+        assert {ell for _, _, ell, *_ in cells} == {2}
+        # the dominant split row carries the S^{l-1} target
+        dom = [row for row in split_cells if row[3] == row[2] - 1]
         assert len(dom) == 1
-        np.testing.assert_allclose(dom[0].target, S, rtol=1e-12)
+        np.testing.assert_allclose(dom[0][7], S, rtol=1e-12)
         # decomposition recomposes inside the report too
-        total = [c for c in row.cells if c.j is None][0]
-        assert sum(comb(c.ell, c.j) * c.count for c in split_cells) == total.count
+        [total] = [row for row in cells if row[0] == "a"]
+        assert sum(comb(ell, j) * count
+                   for _, _, ell, j, _, count, *_ in split_cells) == total[5]
 
 
 def test_fractional_s_stays_exact():

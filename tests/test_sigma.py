@@ -106,10 +106,10 @@ def test_iter_orbits_nondecreasing_and_complete():
     spec = WeightSpec(Family.MIXED_SR, s=1.0, d=2, r=2.0)
     reps = []
     last = -1.0
-    for entry in itertools.islice(iter_orbits(spec), 40):
-        assert entry.log_weight >= last - 1e-12
-        last = entry.log_weight
-        reps.append(entry.rep)
+    for log_weight, rep in itertools.islice(iter_orbits(spec), 40):
+        assert log_weight >= last - 1e-12
+        last = log_weight
+        reps.append(rep)
     assert len(set(reps)) == len(reps)
     # every canonical rep in a small ball appears before heavier ones outside
     got = set(reps)
