@@ -10,6 +10,7 @@ from .weights import Family, WeightSpec, log_weight_box
 from .sigma import (
     BoxTooSmallError,
     CumSumOverflowError,
+    ResourceLimitError,
     SigmaPrefix,
     count_leq,
     iter_orbits,
@@ -27,7 +28,6 @@ from .widths import (
 )
 from .asymptotics import (
     CONSTANT_NAMES,
-    ResourceLimitError,
     aux_integral,
     constant,
     convergence_table,
@@ -51,6 +51,7 @@ __all__ = [
     "SigmaPrefix",
     "BoxTooSmallError",
     "CumSumOverflowError",
+    "ResourceLimitError",
     "iter_orbits",
     "orbit_multiplicity",
     "sigma_prefix",
@@ -63,7 +64,6 @@ __all__ = [
     "width",
     "sup_over_h",
     "CONSTANT_NAMES",
-    "ResourceLimitError",
     "constant",
     "series_S",
     "convergence_table",

@@ -30,7 +30,9 @@ integral sandwich of the tail: for p = s/(2(s-1)),
 (the upper bound compares the terms with x^-2p, the lower with (x+1)^-2p).
 Returning partial + (U+L)/2 certifies absolute error (U-L)/2 < tol with K in
 the 1e5 range at desk tolerances, instead of the ~1/tol terms a one-sided
-bound would force.
+bound would force.  The certificate also bounds the drift of S under the
+rounding of p itself, which grows like 1/(2p-1)^2: for large s no tolerance
+below that drift is promised, and the series is refused.
 
 ``aux_integral`` evaluates int_{a/n}^1 y^s (ln n / ln(yn))^beta dy, the
 quantity whose limit 1/(s+1) drives the sup-formula asymptotics; it is a
@@ -44,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sigma import SigmaPrefix
+from .sigma import ResourceLimitError, SigmaPrefix
 from .widths import Embedding, WidthKind, is_exact, width
 
 __all__ = [
@@ -69,10 +71,6 @@ CONSTANT_NAMES = (
 # Hard cap on series length; beyond this the requested tolerance is treated
 # as unreachable (exponent 2p too close to 1).
 _SERIES_K_CAP = 50_000_000
-
-
-class ResourceLimitError(RuntimeError):
-    """A computation exceeded its resource cap (series length, prefix size)."""
 
 
 def _need(value, what: str, cond: bool, constraint: str) -> None:
@@ -124,20 +122,36 @@ def series_S(s: float, tol: float = 1e-10) -> float:
     """S = sum_{k>=1} (k^2+1)^(-p), p = s/(2(s-1)), to absolute error < tol.
 
     Plain summation to K terms plus the midpoint of the two-sided integral
-    tail sandwich; K is the smallest power of two whose certified half-width
-    (U-L)/2 drops below tol/2.  Raises ResourceLimitError when no admissible
-    K exists under the cap (p too close to 1/2).
+    tail sandwich; K is the smallest power of two whose certified half-width,
+    (U-L)/2 plus a bound on how far the rounding of p moves S, drops below
+    tol.  Raises ResourceLimitError when that rounding alone exceeds tol
+    (it grows like 4e-16 s^2, so from s ~ 5e4 at tol 1e-6) or no admissible
+    K exists under the cap.
     """
     if not s > 1:
         raise ValueError("s-series requires s > 1")
     if not tol > 0:
         raise ValueError("tol must be positive")
     p = s / (2.0 * (s - 1.0))
-    a = 2.0 * p - 1.0  # > 0 since p > 1/2 for s > 1
-    if not a > 0:  # p rounds to 1/2 from s ~ 1e16 on
+    a = 2.0 * p - 1.0
+    # p carries at most two roundings, so the exact p is at least p_lo.  S
+    # falls as p grows, with |dS/dp| at most `slope` at p_lo: the terms
+    # k <= 3 as they are, and for k >= 4, (k^2+1)^-p ln(k^2+1) <= 2 k^-2p ln k,
+    # which falls in k from 3 on and so sums to at most the integral of
+    # 2 x^-2p ln x over [3, inf).  Partial sum and tail alike, S at the
+    # rounded p is within drift of S at the exact p.
+    p_lo = p * (1.0 - 2.0**-51)
+    a_lo = 2.0 * p_lo - 1.0
+    drift = math.inf  # 2p-1 is within rounding of 0 from s ~ 2e15 on
+    if a_lo > 0:
+        slope = sum(math.log(y) * y ** -p_lo for y in (2.0, 5.0, 10.0))
+        slope += 2.0 * 3.0 ** -a_lo * (math.log(3.0) / a_lo + 1.0 / a_lo**2)
+        drift = (p - p_lo) * slope
+    if not drift <= 0.95 * tol:
         raise ResourceLimitError(
-            f"series tolerance {tol} unreachable for s={s}: "
-            f"the tail exponent 2p-1 rounds to {a}"
+            f"series tolerance {tol} unreachable for s={s}: rounding "
+            f"p = s/(2(s-1)) to a double moves S by up to {drift:.3g}; "
+            "give a smaller s or a larger tolerance"
         )
 
     def tail_bounds(K: int) -> tuple[float, float]:
@@ -150,7 +164,7 @@ def series_S(s: float, tol: float = 1e-10) -> float:
         lower, upper = tail_bounds(K)
         # midpoint error is the half-width; 5% slack covers summation
         # rounding, which pairwise/fsum keeps near machine epsilon
-        if (upper - lower) / 2.0 <= 0.95 * tol:
+        if (upper - lower) / 2.0 + drift <= 0.95 * tol:
             break
         K *= 2
         if K > _SERIES_K_CAP:

@@ -33,7 +33,6 @@ from typing import Iterable, Sequence
 
 from .asymptotics import (
     CONSTANT_NAMES,
-    ResourceLimitError,
     aux_integral,
     check_convergence,
     constant,
@@ -47,7 +46,14 @@ from .lattice_count import (
     split_cut,
     verify_appendix_limits,
 )
-from .sigma import SigmaPrefix, sigma_bruteforce, sigma_prefix
+from .sigma import (
+    _PREFIX_CAP,
+    ResourceLimitError,
+    SigmaPrefix,
+    _refuse_above_cap,
+    sigma_bruteforce,
+    sigma_prefix,
+)
 from .weights import Family, WeightSpec
 from .widths import (
     Embedding,
@@ -59,7 +65,6 @@ from .widths import (
 
 __all__ = ["main"]
 
-_PREFIX_CAP = 30_000_000
 _PROGRESS_AT = 1_000_000
 _BLOCK = 65_536  # rows per output block
 
@@ -161,13 +166,6 @@ def _emit(args: argparse.Namespace, columns: Sequence[str], rows: Iterable) -> N
 
 
 # -- prefixes ----------------------------------------------------------------
-
-
-def _refuse_above_cap(n: int) -> None:
-    if n > _PREFIX_CAP:
-        raise ResourceLimitError(
-            f"prefix cap {_PREFIX_CAP} exceeded: N={n} requested"
-        )
 
 
 def _prefix(spec: WeightSpec, n: int) -> SigmaPrefix:

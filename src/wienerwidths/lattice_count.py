@@ -36,8 +36,8 @@ another way.  A point with at most one nonzero coordinate m is a member
 exactly when m <= r.  Otherwise, when s has denominator at most 64, the
 integer inequality decides, so those counts are exact.  Floats given as
 decimals ("1.5", 2.0) resolve to small fractions.  For a larger
-denominator the point counts as a member, and a warning reports how many
-points were decided that way.
+denominator such a point is refused with ResourceLimitError, so every
+count returned is exact.
 
 Every point with omega(k) <= (1+r^2)^((s-1)/2) has |k_j| <= r (drop the
 other coordinates and compare), so the search space is the box of radius r;
@@ -48,12 +48,11 @@ proportional to the count.
 from __future__ import annotations
 
 import math
-import warnings
 from fractions import Fraction
 from typing import Sequence
 
 from .asymptotics import series_S
-from .sigma import sigma_prefix
+from .sigma import ResourceLimitError, _refuse_above_cap, sigma_prefix
 from .weights import Family, WeightSpec
 
 __all__ = [
@@ -67,7 +66,7 @@ __all__ = [
 ]
 
 # Fractions with denominators beyond this are treated as irrational: a
-# guard-band comparison is not settled in integers but warned about.
+# guard-band comparison is not settled in integers but refused.
 _EXACT_DENOMINATOR_CAP = 64
 
 # Least half-width of the log-domain guard band.
@@ -133,7 +132,6 @@ def _count(s, r: int, ranges: list[tuple[int, int]], signed: bool) -> int:
         suf_lw[j] = suf_lw[j + 1] + lpw[point[j]]
         suf_sq[j] = suf_sq[j + 1] + point[j] * point[j]
     last = dims - 1
-    ambiguous = 0
 
     def member(leaf: bool) -> bool:
         """Membership of `point`, whose comparison fell inside the band."""
@@ -151,9 +149,14 @@ def _count(s, r: int, ranges: list[tuple[int, int]], signed: bool) -> int:
             if z <= y <= x:
                 return False
             return x ** p <= y ** (p - q) * z ** q
-        nonlocal ambiguous
-        if leaf:  # elsewhere a guess only keeps a branch open
-            ambiguous += 2 ** len(nonzero) if signed else 1
+        if leaf:
+            raise ResourceLimitError(
+                f"k={tuple(point)} lies within the {band:g} guard band of the "
+                f"r={r} threshold, and s={frac} has a denominator above "
+                f"{_EXACT_DENOMINATOR_CAP}, too large to settle in integers; "
+                f"give s with a denominator of at most {_EXACT_DENOMINATOR_CAP}"
+            )
+        # above a leaf, True only keeps the branch open; the leaves below decide
         return True
 
     def rec(j: int, acc: float, sq: int, mult: int) -> int:
@@ -173,14 +176,7 @@ def _count(s, r: int, ranges: list[tuple[int, int]], signed: bool) -> int:
         point[j] = lo
         return total
 
-    out = rec(0, 0.0, 0, 1)
-    if ambiguous:
-        warnings.warn(
-            f"{ambiguous} threshold comparisons fell inside the {band:g} "
-            "guard band; the count may be off by that many points",
-            stacklevel=3,
-        )
-    return out
+    return rec(0, 0.0, 0, 1)
 
 
 def count_C(s, r: int, d: int) -> int:
@@ -269,8 +265,9 @@ def sandwich_check(s, d: int, r: int) -> bool:
     if r < 2:
         raise ValueError("requires r >= 2 (the lower threshold uses r-1)")
     _require_positive("d", d)
-    c_lo = count_C(frac, r - 1, d)
     c_hi = count_C(frac, r, d)
+    _refuse_above_cap(c_hi)
+    c_lo = count_C(frac, r - 1, d)
     sf = float(frac)
     spec = WeightSpec(Family.H1_RATIO, s=sf, d=d)
     prefix = sigma_prefix(spec, c_hi)

@@ -48,6 +48,7 @@ from .weights import WeightSpec, log_weight_box
 
 __all__ = [
     "SigmaPrefix",
+    "ResourceLimitError",
     "CumSumOverflowError",
     "BoxTooSmallError",
     "iter_orbits",
@@ -59,6 +60,22 @@ __all__ = [
 
 # log-domain tolerance when counting points below a threshold; see count_leq
 _COUNT_LOG_TOL = 1e-12
+
+# Longest prefix a command may enumerate: 16 bytes per term, 480 MB.
+_PREFIX_CAP = 30_000_000
+
+
+class ResourceLimitError(RuntimeError):
+    """A computation exceeded its resource cap (series length, prefix size)
+    or a bound it must certify."""
+
+
+def _refuse_above_cap(n: int) -> None:
+    """Refuse a prefix of n terms above the prefix cap, before enumerating."""
+    if n > _PREFIX_CAP:
+        raise ResourceLimitError(
+            f"prefix cap {_PREFIX_CAP} exceeded: N={n} requested"
+        )
 
 
 class CumSumOverflowError(OverflowError):

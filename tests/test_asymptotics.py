@@ -102,6 +102,12 @@ def test_series_domain_and_resource():
         series_S(2.0, 0.0)
     with pytest.raises(ResourceLimitError):
         series_S(4.0, 1e-14)
+    # the rounding of p = s/(2(s-1)) alone moves S by more than tol, so no
+    # K certifies it: a sum at the rounded p is 8.9e7 below S at s = 1e12
+    for s in (1e9, 1e12, 1e15):
+        for tol in (1e-10, 1e-6, 1e-3):
+            with pytest.raises(ResourceLimitError, match="rounding p"):
+                series_S(s, tol)
 
 
 def test_convergence_table_mixed_inf_d1():

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from wienerwidths import lattice_count, sigma
 from wienerwidths.cli import _BLOCK, _parse_int, main
 
 CLI = [sys.executable, "-m", "wienerwidths.cli"]
@@ -131,21 +132,48 @@ def test_exit_code_domain_error():
     assert out.stdout == ""
 
 
-def test_exit_code_resource_cap():
+def test_exit_code_resource_cap(monkeypatch, capsys):
     out = run_cli("constants", "--name", "s-series", "--s", "4",
                   "--tol", "1e-14")
     assert out.returncode == 3
     assert "error:" in out.stderr
-    # from s ~ 1e16 on the series exponent 2p - 1 rounds to 0
-    for argv in (["constants", "--name", "s-series", "--s", "1e300"],
-                 ["appendix-verify", "--s", "1e300", "--d", "2",
-                  "--r-grid", "3"]):
+    # from s ~ 1e16 on the series exponent 2p - 1 rounds to 0; at s = 1e12
+    # the rounding of p moves S by more than the tolerance; s = 2.289...
+    # has a guard-band tie at (1, 1) that only integers could settle, and
+    # its denominator is above 64
+    series = "error: series tolerance 1e-10 unreachable for s="
+    for argv, message in [
+        (["constants", "--name", "s-series", "--s", "1e300"],
+         series + "1e+300"),
+        (["appendix-verify", "--s", "1e300", "--d", "2", "--r-grid", "3"],
+         series + "1e+300"),
+        (["constants", "--name", "s-series", "--s", "1e12"],
+         series + "1000000000000.0: rounding p"),
+        (["count", "--s", "2.289224226994103", "--d", "2", "--r-grid", "2"],
+         "error: k=(1, 1) lies within the 1e-09 guard band of the r=2 "
+         "threshold, and s=2289224226994103/1000000000000000 has a "
+         "denominator above 64"),
+    ]:
         out = run_cli(*argv)
         assert out.returncode == 3, argv
-        assert out.stderr.startswith("error: series tolerance 1e-10 "
-                                     "unreachable for s=1e+300"), out.stderr
+        assert out.stderr.startswith(message), out.stderr
         assert "Traceback" not in out.stderr
+        assert "Warning" not in out.stderr
         assert out.stdout == ""
+    # the sandwich's prefix, C(8, 2) = 61 terms, is refused above the prefix
+    # cap before it is enumerated
+
+    def enumerate_prefix(*args):
+        pytest.fail("sandwich_check enumerated a prefix above the cap")
+
+    monkeypatch.setattr(sigma, "_PREFIX_CAP", 50)
+    monkeypatch.setattr(lattice_count, "sigma_prefix", enumerate_prefix)
+    code = main(["appendix-verify", "--s", "2", "--d", "2", "--r-grid", "3",
+                 "--sandwich-r", "8"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: prefix cap 50 exceeded: N=61 requested\n"
+    assert captured.out == ""
 
 
 def test_appendix_verify_smoke():

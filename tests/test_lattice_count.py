@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from wienerwidths import (
     Family,
+    ResourceLimitError,
     WeightSpec,
     count_A,
     count_A_split,
@@ -112,19 +114,18 @@ def test_count_matches_direct_grid_large_numerator():
     r=st.integers(1, 8),
 )
 def test_count_matches_direct_grid_any_denominator(s, d, r):
-    # s = p/q on both sides of the exact-denominator cap (64): below it no
-    # guard-band warning is raised and the count is exact; above it a
-    # warning bounds how far the count may be off
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    # s = p/q on both sides of the exact-denominator cap (64): a count is
+    # exact, or, when a guard-band tie off the axes needs the integer test
+    # and q is above the cap, refused
+    try:
         got = count_C(s, r, d)
-    reported = sum(int(str(w.message).split()[0]) for w in caught
-                   if "guard band" in str(w.message))
-    assert s.denominator > 64 or not caught
-    assert abs(got - _scan_C(s, r, d)) <= reported
+    except ResourceLimitError:
+        assert s.denominator > 64
+    else:
+        assert got == _scan_C(s, r, d)
 
 
-def test_guard_band_warnings():
+def test_guard_band_ties_settled_or_refused():
     # the axis points (r, 0) and (0, r) sit on the threshold for every s;
     # they are members by m <= r, not guard-band guesses.  At s = 2 the
     # point (1, r/2) lies 1/r^2 inside it in the log domain, within the band
@@ -136,12 +137,13 @@ def test_guard_band_warnings():
     assert counts == [13, 21, 25, 29]
     # each s rounds a root of 4^s = 3 * 5^(s-1) (the point (1, 1) at r = 2)
     # or of 10^s = 6 * 17^(s-1) ((1, 2) at r = 4) to 16 digits, too fine a
-    # denominator to settle in integers: the orbit is counted, and its
-    # 4 (d = 2) or 24 (d = 3) points reported
-    for s, r, d, count, reported in [("2.289224226994103", 2, 2, 13, 4),
-                                     ("1.962680789693084", 4, 3, 69, 24)]:
-        with pytest.warns(UserWarning, match=f"^{reported} threshold "):
-            assert count_C(s, r, d) == count
+    # denominator to settle in integers: the count is refused, naming the
+    # point
+    for s, r, d, point in [("2.289224226994103", 2, 2, (1, 1)),
+                           ("1.962680789693084", 4, 3, (0, 1, 2))]:
+        with pytest.raises(ResourceLimitError,
+                           match=f"^k={re.escape(str(point))} lies within "):
+            count_C(s, r, d)
 
 
 def test_c_decomposition_identity():
