@@ -132,6 +132,10 @@ def series_S(s: float, tol: float = 1e-10) -> float:
         raise ValueError("s-series requires s > 1")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if tol == math.inf:
+        # drift = inf would pass the check below, and the tail bounds then
+        # divide by 2p - 1 = 0
+        raise ValueError("tol must be finite")
     p = s / (2.0 * (s - 1.0))
     a = 2.0 * p - 1.0
     # p carries at most two roundings, so the exact p is at least p_lo.  S
@@ -182,12 +186,17 @@ def series_S(s: float, tol: float = 1e-10) -> float:
 
 
 def check_convergence(
-    embedding: Embedding, kind: WidthKind, n_grid: Sequence[int]
+    embedding: Embedding,
+    kind: WidthKind,
+    n_grid: Sequence[int],
+    alpha: float,
+    beta: float,
 ) -> None:
-    """Refuse a convergence table for this grid and width: the grid must be
-    strictly increasing with entries >= 3, and the width exact (a bracket
-    has no single ratio).  Needs no prefix, so a caller can refuse before
-    enumerating one; copies nothing, so a lazy ``range`` stays lazy."""
+    """Refuse a convergence table for this grid, width and normalizer: the
+    grid must be strictly increasing with entries >= 3, the width exact (a
+    bracket has no single ratio), and alpha and beta finite.  Needs no
+    prefix, so a caller can refuse before enumerating one; copies nothing,
+    so a lazy ``range`` stays lazy."""
     if isinstance(n_grid, range):
         increasing = len(n_grid) == 1 or (len(n_grid) > 1 and n_grid.step > 0)
     else:
@@ -201,6 +210,10 @@ def check_convergence(
         raise ValueError(
             f"convergence tables need an exact width; "
             f"{embedding.value} yields a bracket"
+        )
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(
+            f"alpha and beta must be finite, got alpha={alpha!r}, beta={beta!r}"
         )
 
 
@@ -216,15 +229,28 @@ def convergence_table(
     one ``(n, raw, normalizer, ratio)`` row per n, where raw is the width and
     ratio is raw / normalizer.
 
-    Only exact-width embeddings are accepted (``check_convergence``).
+    Only exact-width embeddings and finite exponents are accepted
+    (``check_convergence``), and a normalizer or ratio that leaves the
+    positive finite floats is refused.
     """
-    check_convergence(embedding, kind, n_grid)
+    check_convergence(embedding, kind, n_grid, alpha, beta)
     grid = [int(n) for n in n_grid]
+    norms = [n ** (-alpha) * math.log(n) ** beta for n in grid]
+    for n, norm in zip(grid, norms):
+        if not 0.0 < norm < math.inf:
+            raise ValueError(
+                f"normalizer n^-alpha (ln n)^beta is {norm!r} at n={n}; "
+                "give alpha and beta that keep it a positive finite float"
+            )
     values = width(prefix, embedding, kind, grid)
     rows = []
-    for n, wv in zip(grid, values):
-        norm = n ** (-alpha) * math.log(n) ** beta
-        rows.append((n, wv.value, norm, wv.value / norm))
+    for n, norm, wv in zip(grid, norms, values):
+        ratio = wv.value / norm
+        if ratio == math.inf:
+            raise ValueError(
+                f"ratio raw/normalizer overflows at n={n} (normalizer {norm!r})"
+            )
+        rows.append((n, wv.value, norm, ratio))
     return rows
 
 

@@ -11,11 +11,17 @@ as CSV or (``--format json``) as one JSON object.  The columns are:
     appendix-verify  section, r, ell, j, r_ell, count, ratio, target, ok
     integral         n, value, limit, abs_dev
 
-Floats print with 17 significant digits and '.' decimal separator; output
-is byte-identical across runs.  Rows stream out a block at a time (``sigma``
-converts its prefix arrays block by block), so peak memory is the prefix,
-16 bytes per row, plus one block; rows that can fail are all computed before
-the first byte.  Integers may be spelled 1.5e5.  Progress notes go to stderr.
+One writer prints every table.  Each column has a kind (int, float, bool,
+or a mixed cell for the small tables), and the kinds give one printf row
+format per output format, so a block of rows prints with one ``%``.  The
+cell rules: CSV writes None as empty, bools as true/false, floats with 17
+significant digits and '.' decimal separator; JSON writes null, true/false
+and ``repr`` floats, and a JSON table is ``json.dumps(payload, indent=2)``
+plus a newline.  Output is byte-identical across runs.  Rows stream out a
+block at a time (``sigma`` converts its prefix arrays block by block), so
+peak memory is the prefix, 16 bytes per row, plus one block; rows that can
+fail are all computed before the first byte.  Integers may be spelled
+1.5e5.  Progress notes go to stderr.
 Prefix lengths above 30,000,000 are refused before any enumeration.
 Exit codes: 0 success, 1 stdout closed early (broken pipe), 2 domain/usage
 error or an --output path that cannot be opened, 3 resource cap.
@@ -23,13 +29,13 @@ error or an --output path that cannot be opened, 3 resource cap.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .asymptotics import (
     CONSTANT_NAMES,
@@ -66,9 +72,10 @@ from .widths import (
 __all__ = ["main"]
 
 _PROGRESS_AT = 1_000_000
-_BLOCK = 65_536  # rows per output block
+_BLOCK = 8_192  # rows per output block
 
-Table = tuple[Sequence[str], Iterable[Sequence]]
+Columns = Sequence[tuple[str, "_Kind"]]  # (name, kind) per column
+Table = tuple[Columns, Iterable[Sequence]]
 
 
 # -- parsing helpers ---------------------------------------------------------
@@ -112,8 +119,13 @@ def _parse_int_list(text: str) -> Sequence[int]:
     return parts[0] if len(parts) == 1 else [n for p in parts for n in p]
 
 
-def _parse_s_float(s: str) -> float:
-    return float(Fraction(s))  # accepts "1.5" and "3/2"
+def _parse_s(text: str) -> Fraction:
+    """s or r, exactly: "1.5" and "3/2" alike.  Fraction refuses nan and inf;
+    a zero denominator is refused here, not left to raise ZeroDivisionError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def _make_spec(args: argparse.Namespace) -> WeightSpec:
@@ -124,42 +136,85 @@ def _make_spec(args: argparse.Namespace) -> WeightSpec:
                 "r=inf is spelled as the family variant "
                 "(mixed-inf / isotropic-inf), not as a number"
             )
-        r = _parse_s_float(args.r)
-    return WeightSpec(Family(args.family), s=_parse_s_float(args.s), d=args.d, r=r)
+        r = float(_parse_s(args.r))
+    return WeightSpec(Family(args.family), s=float(_parse_s(args.s)), d=args.d, r=r)
 
 
 # -- output ------------------------------------------------------------------
 
 
-def _fmt_cell(x) -> str:
+def _csv_cell(x) -> str:
+    """One cell by the CSV rules: None empty, bools true/false, floats at 17
+    significant digits, the rest ``str``, quoted as ``csv`` quotes a field
+    (QUOTE_MINIMAL with a "\\n" line end: on ',', '"' or a newline)."""
     if x is None:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
         return format(x, ".17g")
-    return str(x)
+    text = str(x)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _emit(args: argparse.Namespace, columns: Sequence[str], rows: Iterable) -> None:
+class _Kind(NamedTuple):
+    """How a column prints: one printf spec per format, applied after an
+    optional conversion of the cell."""
+
+    csv: str
+    json: str
+    to_csv: Callable | None = None
+    to_json: Callable | None = None
+
+
+_TRUE_FALSE = {True: "true", False: "false"}.__getitem__
+_INT = _Kind("%d", "%d")
+# finite floats only: %r prints inf and nan where json.dumps prints
+# Infinity and NaN
+_FLOAT = _Kind("%.17g", "%r")
+_BOOL = _Kind("%s", "%s", _TRUE_FALSE, _TRUE_FALSE)
+# anything else: None, strings, bools, ints and floats mixed in one column
+_CELL = _Kind("%s", "%s", _csv_cell, json.dumps)
+
+
+def _emit(
+    args: argparse.Namespace, columns: Columns, rows: Iterable[Sequence]
+) -> None:
     """Write the table to --output or the current stdout, a block at a time.
 
-    Each JSON block is dumped as ``[block]`` with its outer brackets sliced
-    off, so a table with rows is ``json.dumps(payload, indent=2) + "\\n"``."""
+    A row prints through one printf format built from the column kinds, so
+    a block of ``_BLOCK`` rows is one ``%`` of that format, repeated, over
+    the block's cells.  A JSON row carries the ``indent=2`` layout and its
+    leading ",", which the first row drops, so a JSON table is
+    ``json.dumps(payload, indent=2) + "\\n"`` byte for byte."""
+    names = [name for name, _ in columns]
+    kinds = [kind for _, kind in columns]
+    if args.format == "csv":
+        head = ",".join(names) + "\n"
+        fmt = ",".join(k.csv for k in kinds) + "\n"
+        convert = [k.to_csv for k in kinds]
+    else:
+        payload = {"command": args.command, "columns": names, "rows": []}
+        head = json.dumps(payload, indent=2)[:-3]  # ends with '"rows": ['
+        specs = ",\n      ".join(k.json for k in kinds)
+        fmt = ",\n    [\n      " + specs + "\n    ]"
+        convert = [k.to_json for k in kinds]
+    rows = iter(rows)
+    if any(convert):
+        rows = ([x if f is None else f(x) for f, x in zip(convert, row)]
+                for row in rows)
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
-        if args.format == "csv":
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows([_fmt_cell(x) for x in row] for row in rows)
-            return
-        head = {"command": args.command, "columns": list(columns), "rows": []}
-        out.write(json.dumps(head, indent=2)[:-3])  # ends with '"rows": ['
-        rows = iter(rows)
-        blocks = iter(lambda: list(itertools.islice(rows, _BLOCK)), [])
-        for i, block in enumerate(blocks):
-            out.write((",\n" if i else "\n") + json.dumps([block], indent=2)[6:-6])
-        out.write("\n  ]\n}\n")
+        out.write(head)
+        skip = 0 if args.format == "csv" else 1
+        while cells := tuple(itertools.chain.from_iterable(
+                itertools.islice(rows, _BLOCK))):
+            out.write(((fmt * (len(cells) // len(kinds))) % cells)[skip:])
+            skip = 0
+        if args.format == "json":
+            out.write("]\n}\n" if skip else "\n  ]\n}\n")  # '[]' when empty
     finally:
         if args.output:
             out.close()
@@ -209,11 +264,11 @@ def _cmd_sigma(args: argparse.Namespace) -> Table:
     if n_max < 1:
         raise ValueError("--n must be >= 1")
     prefix = _prefix(spec, n_max)
-    columns = ["n", "sigma", "cum_inv_sq"]
+    columns = [("n", _INT), ("sigma", _FLOAT), ("cum_inv_sq", _FLOAT)]
     arrays = [prefix.values, prefix.cum_inv_sq]
     if args.check_box_radius is not None:
         arrays.append(sigma_bruteforce(spec, n_max, args.check_box_radius).values)
-        columns.append("sigma_oracle")
+        columns.append(("sigma_oracle", _FLOAT))
     blocks = (
         zip(range(lo + 1, min(lo + _BLOCK, n_max) + 1),
             *(a[lo:lo + _BLOCK].tolist() for a in arrays))
@@ -234,7 +289,7 @@ def _cmd_width(args: argparse.Namespace) -> Table:
 
     n = _start_size(max(ns), needs_sup(embedding, kind), args.prefix_n)
     rows = _prefix_with_retry(spec, n, compute)
-    return ["n", "lower", "upper", "exact"], rows
+    return [("n", _INT), ("lower", _FLOAT), ("upper", _FLOAT), ("exact", _BOOL)], rows
 
 
 def _cmd_converge(args: argparse.Namespace) -> Table:
@@ -244,7 +299,9 @@ def _cmd_converge(args: argparse.Namespace) -> Table:
     grid = _parse_int_list(args.n_grid)
     # the cap refusal comes first, as when it came with the enumeration
     n = _start_size(max(grid), needs_sup(embedding, kind), args.prefix_n)
-    check_convergence(embedding, kind, grid)
+    check_convergence(embedding, kind, grid, args.alpha, args.beta)
+    if not math.isfinite(args.target):
+        raise ValueError(f"--target must be finite, got {args.target!r}")
 
     def compute(prefix):
         table = convergence_table(
@@ -253,13 +310,16 @@ def _cmd_converge(args: argparse.Namespace) -> Table:
         return [[*row, args.target] for row in table]
 
     rows = _prefix_with_retry(spec, n, compute)
-    return ["n", "raw", "normalizer", "ratio", "target"], rows
+    columns = [("n", _INT), ("raw", _FLOAT), ("normalizer", _FLOAT),
+               ("ratio", _FLOAT), ("target", _FLOAT)]
+    return columns, rows
 
 
 def _cmd_constants(args: argparse.Namespace) -> Table:
-    s = None if args.s is None else _parse_s_float(args.s)
+    s = None if args.s is None else float(_parse_s(args.s))
     value = constant(args.name, s=s, d=args.d, tol=args.tol)
-    return ["name", "value"], [[args.name, value]]
+    # a constant can overflow to inf, which only _CELL prints as json.dumps does
+    return [("name", _CELL), ("value", _CELL)], [[args.name, value]]
 
 
 def _cmd_count(args: argparse.Namespace) -> Table:
@@ -271,7 +331,7 @@ def _cmd_count(args: argparse.Namespace) -> Table:
         raise ValueError("count --j requires --ell")
     if args.r_ell is not None and args.j is None:
         raise ValueError("count --r-ell requires --j")
-    s_frac = Fraction(args.s)
+    s_frac = _parse_s(args.s)
 
     def row(r: int):
         if args.ell is None:
@@ -286,11 +346,13 @@ def _cmd_count(args: argparse.Namespace) -> Table:
         return ["A-split", args.s, r, args.ell, args.j, r_ell, cnt]
 
     rows = [row(r) for r in _parse_int_list(args.r_grid)]
-    return ["kind", "s", "r", "dim", "j", "r_ell", "count"], rows
+    columns = [("kind", _CELL), ("s", _CELL), ("r", _INT), ("dim", _INT),
+               ("j", _CELL), ("r_ell", _CELL), ("count", _INT)]
+    return columns, rows
 
 
 def _cmd_appendix_verify(args: argparse.Namespace) -> Table:
-    s_frac = Fraction(args.s)
+    s_frac = _parse_s(args.s)
     grid = _parse_int_list(args.r_grid)
     table = verify_appendix_limits(s_frac, args.d, grid, tol=args.tol)
     rows = [[*row, None] for row in table]
@@ -298,18 +360,22 @@ def _cmd_appendix_verify(args: argparse.Namespace) -> Table:
         for r in _parse_int_list(args.sandwich_r):
             ok = sandwich_check(s_frac, args.d, r)
             rows.append(["sandwich", r, None, None, None, None, None, None, ok])
-    columns = ["section", "r", "ell", "j", "r_ell", "count", "ratio", "target", "ok"]
-    return columns, rows
+    # a-split rows print ratio and target 0, an int, so those columns are
+    # mixed
+    names = ("section", "r", "ell", "j", "r_ell", "count", "ratio", "target", "ok")
+    return [(name, _INT if name == "r" else _CELL) for name in names], rows
 
 
 def _cmd_integral(args: argparse.Namespace) -> Table:
-    s = _parse_s_float(args.s)
+    s = float(_parse_s(args.s))
+    # aux_integral checks s > 0 before the limit 1/(s+1) is formed
+    values = [(n, aux_integral(s, args.beta, args.a, n))
+              for n in _parse_int_list(args.n_grid)]
     limit = 1.0 / (s + 1.0)
-    rows = []
-    for n in _parse_int_list(args.n_grid):
-        val = aux_integral(s, args.beta, args.a, n)
-        rows.append([n, val, limit, abs(val - limit)])
-    return ["n", "value", "limit", "abs_dev"], rows
+    rows = [[n, val, limit, abs(val - limit)] for n, val in values]
+    # quadrature values are not known finite, so they print as cells
+    columns = [("n", _INT), ("value", _CELL), ("limit", _CELL), ("abs_dev", _CELL)]
+    return columns, rows
 
 
 _DISPATCH = {

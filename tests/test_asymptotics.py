@@ -100,6 +100,11 @@ def test_series_domain_and_resource():
         series_S(1.0)
     with pytest.raises(ValueError):
         series_S(2.0, 0.0)
+    # tol = inf would let an infinite drift through, and the tail bounds
+    # then divide by 2p - 1 = 0
+    for s in (2.0, 1e300):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            series_S(s, math.inf)
     with pytest.raises(ResourceLimitError):
         series_S(4.0, 1e-14)
     # the rounding of p = s/(2(s-1)) alone moves S by more than tol, so no
@@ -155,6 +160,17 @@ def test_convergence_table_validation():
     with pytest.raises(ValueError, match="exact"):
         convergence_table(p, Embedding.A_TO_LINF, WidthKind.APPROXIMATION,
                           [10, 20], alpha=1.0, beta=0.0)
+    for alpha, beta in ((math.nan, 0.0), (1.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="alpha and beta must be finite"):
+            convergence_table(p, Embedding.A_TO_A, WidthKind.APPROXIMATION,
+                              [10, 20], alpha=alpha, beta=beta)
+    # 10^-400 underflows to 0; 10^-320 is a subnormal whose ratio overflows
+    with pytest.raises(ValueError, match="normalizer .* is 0.0 at n=10"):
+        convergence_table(p, Embedding.A_TO_A, WidthKind.APPROXIMATION,
+                          [10, 20], alpha=400.0, beta=0.0)
+    with pytest.raises(ValueError, match="ratio raw/normalizer overflows"):
+        convergence_table(p, Embedding.A_TO_A, WidthKind.APPROXIMATION,
+                          [10], alpha=320.0, beta=0.0)
 
 
 def test_aux_integral_beta0_closed_form():
