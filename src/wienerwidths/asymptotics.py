@@ -84,7 +84,18 @@ def constant(
     name: str, s: float | None = None, d: int | None = None, tol: float = 1e-10
 ) -> float:
     """Evaluate a named constant; s and d are consumed as each formula needs,
-    tol is the series tolerance.  Domain errors name the violated constraint."""
+    tol is the series tolerance.  Domain errors name the violated constraint,
+    and a formula that leaves the finite floats is refused."""
+    try:
+        value = _formula(name, s, d, tol)
+    except OverflowError:  # a float power or an int-to-float conversion
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} leaves the float range at s={s!r}, d={d!r}")
+    return value
+
+
+def _formula(name: str, s: float | None, d: int | None, tol: float) -> float:
     if name not in CONSTANT_NAMES:
         raise ValueError(
             f"unknown constant {name!r}; valid: {', '.join(CONSTANT_NAMES)}"
@@ -235,13 +246,20 @@ def convergence_table(
     """
     check_convergence(embedding, kind, n_grid, alpha, beta)
     grid = [int(n) for n in n_grid]
-    norms = [n ** (-alpha) * math.log(n) ** beta for n in grid]
-    for n, norm in zip(grid, norms):
+    keep = "give alpha and beta that keep it a positive finite float"
+    norms = []
+    for n in grid:
+        try:
+            norm = n ** (-alpha) * math.log(n) ** beta
+        except OverflowError:  # a float power raises where it would be inf
+            raise ValueError(
+                f"normalizer n^-alpha (ln n)^beta overflows at n={n}; {keep}"
+            ) from None
         if not 0.0 < norm < math.inf:
             raise ValueError(
-                f"normalizer n^-alpha (ln n)^beta is {norm!r} at n={n}; "
-                "give alpha and beta that keep it a positive finite float"
+                f"normalizer n^-alpha (ln n)^beta is {norm!r} at n={n}; {keep}"
             )
+        norms.append(norm)
     values = width(prefix, embedding, kind, grid)
     rows = []
     for n, norm, wv in zip(grid, norms, values):
@@ -275,7 +293,12 @@ def aux_integral(s: float, beta: float, a: float, n: float) -> float:
     def f(y: float) -> float:
         return y**s * (ln_n / math.log(y * n)) ** beta
 
-    val, err = quad(f, a / n, 1.0, epsabs=1e-12, epsrel=1e-12, limit=500)
+    try:
+        val, err = quad(f, a / n, 1.0, epsabs=1e-12, epsrel=1e-12, limit=500)
+    except OverflowError:  # a float power raises where it would be inf
+        raise ValueError(
+            f"the integrand leaves the float range at n={n:.6g}, beta={beta!r}"
+        ) from None
     if not err <= 1e-10:
         raise ResourceLimitError(
             f"quadrature error estimate {err:.3g} exceeds 1e-10"

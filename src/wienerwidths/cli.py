@@ -65,7 +65,9 @@ from .widths import (
     Embedding,
     PrefixTooShortError,
     WidthKind,
+    check_width,
     needs_sup,
+    refuse_flat,
     width,
 )
 
@@ -119,13 +121,24 @@ def _parse_int_list(text: str) -> Sequence[int]:
     return parts[0] if len(parts) == 1 else [n for p in parts for n in p]
 
 
+def _top(grid: Sequence[int]) -> int:
+    """The largest entry; a lazy range is not walked, as ``max`` would."""
+    return grid[-1] if isinstance(grid, range) else max(grid)
+
+
 def _parse_s(text: str) -> Fraction:
     """s or r, exactly: "1.5" and "3/2" alike.  Fraction refuses nan and inf;
-    a zero denominator is refused here, not left to raise ZeroDivisionError."""
+    a zero denominator and a value beyond the float range are refused here,
+    not left to raise ZeroDivisionError or OverflowError later."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"beyond the float range: {text!r}") from None
+    return value
 
 
 def _make_spec(args: argparse.Namespace) -> WeightSpec:
@@ -287,7 +300,10 @@ def _cmd_width(args: argparse.Namespace) -> Table:
         values = width(prefix, embedding, kind, ns, p=args.p)
         return [[n, wv.lower, wv.upper, wv.exact] for n, wv in zip(ns, values)]
 
-    n = _start_size(max(ns), needs_sup(embedding, kind), args.prefix_n)
+    n_hi = _top(ns)
+    n = _start_size(n_hi, needs_sup(embedding, kind), args.prefix_n)
+    check_width(spec, embedding, kind, ns, args.p)
+    refuse_flat(spec, embedding, kind, n_hi)
     rows = _prefix_with_retry(spec, n, compute)
     return [("n", _INT), ("lower", _FLOAT), ("upper", _FLOAT), ("exact", _BOOL)], rows
 
@@ -298,10 +314,13 @@ def _cmd_converge(args: argparse.Namespace) -> Table:
     kind = WidthKind(args.kind)
     grid = _parse_int_list(args.n_grid)
     # the cap refusal comes first, as when it came with the enumeration
-    n = _start_size(max(grid), needs_sup(embedding, kind), args.prefix_n)
+    n_hi = _top(grid)
+    n = _start_size(n_hi, needs_sup(embedding, kind), args.prefix_n)
     check_convergence(embedding, kind, grid, args.alpha, args.beta)
     if not math.isfinite(args.target):
         raise ValueError(f"--target must be finite, got {args.target!r}")
+    check_width(spec, embedding, kind, grid)
+    refuse_flat(spec, embedding, kind, n_hi)
 
     def compute(prefix):
         table = convergence_table(
@@ -318,8 +337,7 @@ def _cmd_converge(args: argparse.Namespace) -> Table:
 def _cmd_constants(args: argparse.Namespace) -> Table:
     s = None if args.s is None else float(_parse_s(args.s))
     value = constant(args.name, s=s, d=args.d, tol=args.tol)
-    # a constant can overflow to inf, which only _CELL prints as json.dumps does
-    return [("name", _CELL), ("value", _CELL)], [[args.name, value]]
+    return [("name", _CELL), ("value", _FLOAT)], [[args.name, value]]
 
 
 def _cmd_count(args: argparse.Namespace) -> Table:
@@ -498,11 +516,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:  # e.g. an --output path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimitError, MemoryError, OverflowError) as exc:
-        # OverflowError covers sigma.CumSumOverflowError
+    except (ResourceLimitError, MemoryError) as exc:
+        # ResourceLimitError covers sigma.CumSumOverflowError
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
+        # any other OverflowError is an input beyond the float range
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

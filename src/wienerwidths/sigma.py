@@ -78,7 +78,7 @@ def _refuse_above_cap(n: int) -> None:
         )
 
 
-class CumSumOverflowError(OverflowError):
+class CumSumOverflowError(ResourceLimitError):
     """sigma^-2 partial sums left the double range."""
 
 

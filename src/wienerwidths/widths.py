@@ -51,16 +51,17 @@ instead of at n.  This skips no winner: if h' < h loses to h at some n
 both numerators drop by the same amount while S_{h'} < S_h; correctly
 rounded division keeps that order, so a skipped h' never exceeds the value.
 Up to 64 consecutive grid entries are evaluated at once, as one matrix over
-a window of 2048 values of h; each row gets its own argmax and the same
-ceiling test at the window's end, and the leading certified rows are kept.
-Entries past the window's end are left out of the block, since they cannot
-certify in it.  When the block would hold one row (sparse grids) or no row
-certifies (flat prefixes), the first entry falls back to the per-n scan
-``sup_over_h``, whose maximizer becomes the next start and whose
-PrefixTooShortError propagates unchanged.  The block after a fallback holds
-at most two rows, and each certified block doubles that back up to 64, so a
-run of fallbacks wastes little.  Every value is the one
-``sup_over_h(prefix, n)[0]`` returns, to the last bit.
+a window of 2048 values of h; each row keeps its running max and smallest
+argmax, gets the same ceiling test at the window's end, and the leading
+certified rows are kept.  Entries past the first window's end are left out
+of the block, since they cannot certify in it.  A block whose first row
+does not certify (a single n far from its maximizer, flat stretches of the
+prefix) moves on to the next window, twice as wide (up to 2^20 values of h,
+as in ``sup_over_h``), with half its rows, so the matrix never holds more
+than 64 x 2048 floats until one row is left.  At the end of the prefix the
+pass raises ``sup_over_h``'s PrefixTooShortError.  The pass never calls
+``sup_over_h``, which stays as the independent per-n reference, and every
+value is the one ``sup_over_h(prefix, n)[0]`` returns, to the last bit.
 """
 from __future__ import annotations
 
@@ -72,8 +73,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .sigma import SigmaPrefix
-from .weights import Family
+from .sigma import _PREFIX_CAP, ResourceLimitError, SigmaPrefix
+from .weights import Family, WeightSpec
 
 __all__ = [
     "Embedding",
@@ -81,6 +82,8 @@ __all__ = [
     "WidthValue",
     "PrefixTooShortError",
     "width",
+    "check_width",
+    "refuse_flat",
     "needs_sup",
     "is_exact",
     "sup_over_h",
@@ -120,9 +123,12 @@ _SUP_EMBEDDINGS = (
 
 
 # the grid pass evaluates up to _BLOCK_ROWS grid entries over a window of
-# _BLOCK_WIDTH values of h at once: one matrix of 64 x 2048 floats, 1 MB
+# _BLOCK_WIDTH values of h at once: one matrix of 64 x 2048 floats, 1 MB;
+# a block that does not certify doubles its window up to _MAX_WIDTH, the
+# last chunk of sup_over_h, and halves its rows
 _BLOCK_ROWS = 64
 _BLOCK_WIDTH = 2048
+_MAX_WIDTH = 1 << 20
 
 
 def needs_sup(embedding: Embedding, kind: WidthKind) -> bool:
@@ -213,20 +219,17 @@ def _require_n(prefix: SigmaPrefix, n: int) -> None:
         )
 
 
-def width(
-    prefix: SigmaPrefix,
+def check_width(
+    spec: WeightSpec,
     embedding: Embedding,
     kind: WidthKind,
     ns: Sequence[int],
     p: float | None = None,
-) -> list[WidthValue]:
-    """The width of one embedding and kind at every n of ``ns``, in input
-    order (repeats and unsorted grids allowed).  ``p`` is only for a-to-lp,
-    where 2 < p < inf.
-
-    Raises PrefixTooShortError when the prefix ends before max(ns), with
-    ``required = max(ns)``, or before a sup certificate fires.
-    """
+) -> None:
+    """Refuse what ``width`` refuses whatever the prefix length: an unknown
+    embedding or kind, an n that is not a positive integer, a p against the
+    a-to-lp rules, or a weight the embedding does not take.  Needs no
+    prefix, so a caller can refuse before enumerating one."""
     if not isinstance(embedding, Embedding):
         raise ValueError(f"unknown embedding: {embedding!r}")
     if not isinstance(kind, WidthKind):
@@ -243,9 +246,72 @@ def width(
     elif p is not None:
         raise ValueError("p is only meaningful for a-to-lp")
     if embedding in (Embedding.HMIX_TO_H1, Embedding.AMIX_TO_H1):
-        _require_family(prefix, Family.H1_RATIO, embedding)
+        _require_family(spec, Family.H1_RATIO, embedding)
     if embedding is Embedding.CMIX_TO_L2:
-        _require_cmix_prefix(prefix)
+        _require_cmix_spec(spec)
+
+
+def refuse_flat(
+    spec: WeightSpec, embedding: Embedding, kind: WidthKind, n_hi: int
+) -> None:
+    """Refuse, before any enumeration, a sup width at some n >= 2 (the grid's
+    largest n is ``n_hi``) on a weight that evaluates to exactly 1.0 at
+    every point of a prefix within the cap.
+
+    On such a prefix S_h = h, so (h-n+1)/S_h stays below the ceiling's
+    sigma_h^2 = 1 and the certificate never fires: the prefix would double
+    up to the cap and be refused there, after minutes of enumeration.
+
+    The test is that log omega at the axis point (cap, 0, ..., 0) lies below
+    2^-55.  Orbits come out in nondecreasing log key, and the 2 cap + 1 axis
+    points |j| <= cap have keys at most that one, so every point of a prefix
+    of at most cap terms has a key below 2^-55 as well.  At such a point
+    each family evaluates omega as float powers whose exact logs are at most
+    the key (up to rounding far inside the margin):
+
+        mixed-inf      float(prod of the |k_i| > 1) ** s
+        isotropic-inf  float(max |k_i|) ** s
+        isotropic-sr   (1 + sum |k_i|^r) ** (s/r)
+        mixed-sr       the product of (1 + |k_i|^r) ** (s/r), one factor
+                       per coordinate, each factor's log at most the key
+
+    A pow whose exact value lies in [1, 1 + 2^-54) returns 1.0, since
+    1 + 2^-53 is the midpoint to the next double (a pow off by up to 3/4
+    ulp still does), and a product of 1.0s is 1.0; where a pow overflows,
+    ``evaluate`` returns exp(log key), which is 1.0 as well.  h1-ratio
+    divides by sqrt(1 + |k|^2), which is no such power, and is not refused
+    here.
+    """
+    if not needs_sup(embedding, kind) or n_hi < 2:
+        return
+    if spec.family is Family.H1_RATIO:
+        return
+    log_w = spec.log_evaluate((_PREFIX_CAP,) + (0,) * (spec.d - 1))
+    if log_w < 2.0**-55:
+        raise ResourceLimitError(
+            f"every weight of a prefix within the cap {_PREFIX_CAP} "
+            f"evaluates to 1.0 (log omega at {_PREFIX_CAP} e_1 is "
+            f"{log_w:.3g}), so no sup certificate can fire for n >= 2; "
+            "give a larger s"
+        )
+
+
+def width(
+    prefix: SigmaPrefix,
+    embedding: Embedding,
+    kind: WidthKind,
+    ns: Sequence[int],
+    p: float | None = None,
+) -> list[WidthValue]:
+    """The width of one embedding and kind at every n of ``ns``, in input
+    order (repeats and unsorted grids allowed).  ``p`` is only for a-to-lp,
+    where 2 < p < inf.
+
+    Raises ValueError where ``check_width`` does, and PrefixTooShortError
+    when the prefix ends before max(ns), with ``required = max(ns)``, or
+    before a sup certificate fires.
+    """
+    check_width(prefix.spec, embedding, kind, ns, p)
     if ns:
         _require_n(prefix, max(ns))
 
@@ -277,20 +343,29 @@ def _sup_values(prefix: SigmaPrefix, ns: Sequence[int]) -> list[float]:
     order = sorted(set(ns))
     found: dict[int, float] = {}
     warm = 1  # maximizer of the last n answered
-    take = _BLOCK_ROWS  # most rows in the next block
     i = 0
     while i < len(order):
         lo = max(order[i], warm)
-        hi = min(lo + _BLOCK_WIDTH - 1, N)
-        # a row with n > hi has no h >= n in the window and cannot certify
-        j = bisect.bisect_right(order, hi, i, min(i + take, len(order)))
-        k = 0
-        if j - i > 1:  # one row alone goes to the per-n scan
-            rows = np.array(order[i:j])
-            hs = np.arange(lo, hi + 1)
-            vals = (hs - (rows[:, None] - 1)) / S[lo - 1 : hi]
-            arg = np.argmax(vals, axis=1)
-            best = vals[np.arange(len(rows)), arg]
+        step = _BLOCK_WIDTH
+        hi = min(lo + step - 1, N)
+        # a row with n > hi has no h >= n in the first window and cannot
+        # certify in it
+        j = bisect.bisect_right(order, hi, i, min(i + _BLOCK_ROWS, len(order)))
+        rows = np.array(order[i:j])
+        best = np.full(len(rows), -math.inf)
+        arg = np.zeros(len(rows), dtype=np.int64)
+        while True:
+            # (h - n + 1) / S_h, as in sup_over_h: the integer differences
+            # are exact in float64
+            vals = np.subtract(np.arange(lo, hi + 1), rows[:, None] - 1,
+                               dtype=np.float64)
+            vals /= S[lo - 1 : hi]
+            at = np.argmax(vals, axis=1)
+            top = vals[np.arange(len(rows)), at]
+            # strict, so the smallest maximizer wins
+            better = top > best
+            best = np.where(better, top, best)
+            arg = np.where(better, lo + at, arg)
             # sup_over_h's ceiling at hi, one per row
             b = 1.0 / (sig[hi - 1] * sig[hi - 1])
             ceiling = np.maximum(
@@ -298,31 +373,35 @@ def _sup_values(prefix: SigmaPrefix, ns: Sequence[int]) -> list[float]:
             )
             ok = ceiling <= best
             k = len(rows) if ok.all() else int(np.argmin(ok))
-        if k == 0:
-            value, warm = sup_over_h(prefix, order[i])
-            found[order[i]] = value
-            i += 1
-            take = 2
-            continue
+            if k:
+                break
+            if hi == N:
+                raise PrefixTooShortError(
+                    2 * N,
+                    f"prefix exhausted before certificate at n={order[i]}; "
+                    f"retry with at least {2 * N} terms",
+                )
+            # twice the window, half the rows, up to sup_over_h's last chunk
+            keep = max(1, len(rows) // 2)
+            rows, best, arg = rows[:keep], best[:keep], arg[:keep]
+            lo = hi + 1
+            step = min(2 * step, _MAX_WIDTH)
+            hi = min(lo + step - 1, N)
         found.update(zip(order[i : i + k], map(math.sqrt, best[:k].tolist())))
-        warm = lo + int(arg[k - 1])
+        warm = int(arg[k - 1])
         i += k
-        take = min(2 * take, _BLOCK_ROWS)
     return [found[n] for n in ns]
 
 
-def _require_family(
-    prefix: SigmaPrefix, family: Family, emb: Embedding
-) -> None:
-    if prefix.spec.family is not family:
+def _require_family(spec: WeightSpec, family: Family, emb: Embedding) -> None:
+    if spec.family is not family:
         raise ValueError(
             f"{emb.value} requires a {family.value} prefix, "
-            f"got {prefix.spec.family.value}"
+            f"got {spec.family.value}"
         )
 
 
-def _require_cmix_prefix(prefix: SigmaPrefix) -> None:
-    spec = prefix.spec
+def _require_cmix_spec(spec: WeightSpec) -> None:
     m = spec.s
     ok = (
         spec.family is Family.MIXED_SR

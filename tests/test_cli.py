@@ -159,6 +159,8 @@ def test_exit_code_resource_cap(monkeypatch, capsys):
          "error: k=(1, 1) lies within the 1e-09 guard band of the r=2 "
          "threshold, and s=2289224226994103/1000000000000000 has a "
          "denominator above 64"),
+        (["sigma", "--family", "mixed-inf", "--s", "400", "--d", "1",
+          "--n", "10"], "error: cumsum overflow; reduce N or s"),
     ]:
         out = run_cli(*argv)
         assert out.returncode == 3, argv
@@ -229,6 +231,20 @@ def test_usage_errors_exit_2():
          "error: tol must be finite"),
         (["appendix-verify", "--s", "1e300", "--d", "1", "--r-grid", "10",
           "--tol", "inf"], "error: tol must be finite"),
+        # beyond the float range: an OverflowError is a usage error, not a cap
+        ([*weyl, "--alpha", "-400", "--beta", "0"],
+         "error: normalizer n^-alpha (ln n)^beta overflows at n=10"),
+        (["sigma", "--family", "mixed-inf", "--s", "1e400", "--d", "1",
+          "--n", "3"], "error: beyond the float range: '1e400'"),
+        (["constants", "--name", "mix-l2-sigma", "--s", "1", "--d", "2000"],
+         "error: mix-l2-sigma leaves the float range at s=1.0, d=2000"),
+        (["constants", "--name", "transfer-vw", "--s", "1e308"],
+         "error: transfer-vw leaves the float range at s=1e+308, d=None"),
+        (["constants", "--name", "transfer-vw", "--s", "1e308",
+          "--format", "json"], "error: transfer-vw leaves the float range"),
+        (["integral", "--s", "1", "--beta", "1e300", "--a", "2",
+          "--n-grid", "1e300"],
+         "error: the integrand leaves the float range at n=1e+300"),
     ]
     for argv, message in cases:
         out = run_cli(*argv)
@@ -246,9 +262,15 @@ def test_prefix_cap_refused_before_enumeration():
         ["sigma", *weight, "--n", "4e7"],
         [*width_args, "--n", "4e7"],
         [*width_args, "--n", "1..40000000"],
+        # a lazy range is refused without being walked
+        ["width", *weight, "--embedding", "a-to-l2", "--kind", "bernstein",
+         "--n", "1..1e300"],
         [*width_args, "--n", "5", "--prefix-n", "40000000"],
         ["converge", *weight, "--embedding", "a-to-l2",
          "--kind", "approximation", "--n-grid", "1..40000000",
+         "--alpha", "1", "--beta", "1", "--target", "4"],
+        ["converge", *weight, "--embedding", "a-to-l2",
+         "--kind", "approximation", "--n-grid", "3..1e300",
          "--alpha", "1", "--beta", "1", "--target", "4"],
     ]
     for argv in cases:
@@ -258,6 +280,46 @@ def test_prefix_cap_refused_before_enumeration():
         assert "prefix cap" in out.stderr
         assert out.stdout == ""
         assert time.monotonic() - start < 30
+
+
+def test_flat_weight_refused_before_enumerating(monkeypatch, capsys):
+    # s = 1e-300 makes every weight within the prefix cap evaluate to 1.0,
+    # so the sup certificate can never fire; the prefix used to double up
+    # to the cap for minutes before the refusal
+    weight = ["--family", "isotropic-inf", "--s", "1e-300", "--d", "1"]
+    argv = ["width", *weight, "--embedding", "a-to-linf",
+            "--kind", "kolmogorov", "--n", "5"]
+    start = time.monotonic()
+    out = run_cli(*argv)
+    assert time.monotonic() - start < 30
+    assert out.returncode == 3
+    assert out.stderr.startswith(
+        "error: every weight of a prefix within the cap 30000000 evaluates "
+        "to 1.0")
+    assert out.stdout == ""
+
+    def no_prefix(*args):
+        raise AssertionError("a prefix was enumerated")
+
+    monkeypatch.setattr(cli, "sigma_prefix", no_prefix)
+    converge = ["converge", *weight, "--embedding", "a-to-l2", "--kind",
+                "approximation", "--n-grid", "10,100", "--alpha", "1",
+                "--beta", "0", "--target", "1"]
+    for refused in (argv, converge, [*argv[:-1], "1,2"]):
+        assert main(refused) == 3, refused
+        assert "evaluates to 1.0" in capsys.readouterr().err
+    # usage errors still come first, and n = 1 or a sum-formula kind never
+    # needs the certificate
+    assert main(["width", *weight, "--embedding", "a-to-lp",
+                 "--kind", "kolmogorov", "--n", "5"]) == 2
+    assert "a-to-lp requires" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main([*argv[:-1], "1"]) == 0
+    assert capsys.readouterr().out == "n,lower,upper,exact\n1,1,1,false\n"
+    assert main(["width", *weight, "--embedding", "a-to-linf",
+                 "--kind", "weyl", "--n", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "2,0.70710678118654757,1,false")
 
 
 def test_closed_stdout_exits_1_quietly():

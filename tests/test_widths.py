@@ -212,24 +212,31 @@ def test_is_exact_matches_width():
             assert is_exact(emb, kind) == got, (emb, kind)
 
 
-def test_grid_pass_falls_back_to_per_n_scan(monkeypatch):
-    # a sparse grid: no window starting at the previous maximizer reaches
-    # the certificate of the next n, so those n go through sup_over_h, and
-    # the values are still the per-n ones
+def test_grid_pass_never_calls_per_n_scan(monkeypatch):
+    # one n, a sparse grid, a dense grid and a flat prefix: the grid pass
+    # answers each alone, bit for bit as the per-n scan, and refuses the
+    # flat one with the per-n scan's error
     p = sigma_prefix(WeightSpec(Family.MIXED_INF, s=1.0, d=1), 40000)
-    grid = [100, 1000, 10000]
-    expected = [sup_over_h(p, n)[0] for n in grid]
-    calls = []
-    real = widths_mod.sup_over_h
+    flat = sigma_prefix(WeightSpec(Family.MIXED_INF, s=1.0, d=5), 100)
+    grids = [[5000], [100, 1000, 10000], list(range(1, 3001))]
+    expected = [[sup_over_h(p, n)[0] for n in grid] for grid in grids]
+    with pytest.raises(PrefixTooShortError) as per_n:
+        sup_over_h(flat, 7)
 
-    def counting(prefix, n):
-        calls.append(n)
-        return real(prefix, n)
+    def refuse(prefix, n):
+        pytest.fail("width called sup_over_h")
 
-    monkeypatch.setattr(widths_mod, "sup_over_h", counting)
-    got = width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, grid)
-    assert [w.value for w in got] == expected
-    assert calls and set(calls) <= set(grid)
+    monkeypatch.setattr(widths_mod, "sup_over_h", refuse)
+    for grid, values in zip(grids, expected):
+        got = width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, grid)
+        assert [w.value for w in got] == values
+    with pytest.raises(PrefixTooShortError) as exc:
+        width(flat, Embedding.A_TO_L2, WidthKind.APPROXIMATION, [1, 7])
+    assert exc.value.required == per_n.value.required == 200
+    assert str(exc.value) == str(per_n.value) == (
+        "prefix exhausted before certificate at n=7; "
+        "retry with at least 200 terms"
+    )
 
 
 def test_grid_pass_on_flat_prefix():
