@@ -22,7 +22,8 @@ block at a time (``sigma`` converts its prefix arrays block by block), so
 peak memory is the prefix, 16 bytes per row, plus one block; rows that can
 fail are all computed before the first byte.  Integers may be spelled
 1.5e5.  Progress notes go to stderr.
-Prefix lengths above 30,000,000 are refused before any enumeration.
+Prefix lengths above 30,000,000 are refused before any enumeration, and
+so are grids of count, appendix-verify and integral longer than 100,000.
 Exit codes: 0 success, 1 stdout closed early (broken pipe), 2 domain/usage
 error or an --output path that cannot be opened, 3 resource cap.
 """
@@ -75,6 +76,9 @@ __all__ = ["main"]
 
 _PROGRESS_AT = 1_000_000
 _BLOCK = 8_192  # rows per output block
+# Longest grid of `count`, `appendix-verify` and `integral`, which compute
+# every row before the first byte.
+_GRID_CAP = 100_000
 
 Columns = Sequence[tuple[str, "_Kind"]]  # (name, kind) per column
 Table = tuple[Columns, Iterable[Sequence]]
@@ -103,11 +107,13 @@ def _parse_int(text: str) -> int:
     raise _NotAnInteger(f"not an integer: {text!r}")
 
 
-def _parse_int_list(text: str) -> Sequence[int]:
+def _parse_int_list(text: str, capped: str | None = None) -> Sequence[int]:
     """Grids: comma-separated integers, 'a..b' inclusive ranges, 1e6 forms.
 
     A single range stays a lazy ``range``, so an oversized n range reaches
-    the prefix cap check without first being expanded."""
+    the prefix cap check without first being expanded.  A grid whose rows
+    are all computed before the first byte (``capped`` names its option) is
+    refused above _GRID_CAP entries, counted from the range ends."""
     parts: list[Sequence[int]] = []
     for part in text.split(","):
         part = part.strip()
@@ -118,6 +124,13 @@ def _parse_int_list(text: str) -> Sequence[int]:
             parts.append([_parse_int(part)])
     if not any(parts):
         raise ValueError(f"empty grid: {text!r}")
+    if capped is not None:
+        size = sum(max(0, p.stop - p.start) if isinstance(p, range) else len(p)
+                   for p in parts)
+        if size > _GRID_CAP:
+            raise ResourceLimitError(
+                f"grid cap {_GRID_CAP} exceeded: {capped} has more entries"
+            )
     return parts[0] if len(parts) == 1 else [n for p in parts for n in p]
 
 
@@ -363,7 +376,7 @@ def _cmd_count(args: argparse.Namespace) -> Table:
         cnt = count_A_split(s_frac, r, args.ell, args.j, r_ell)
         return ["A-split", args.s, r, args.ell, args.j, r_ell, cnt]
 
-    rows = [row(r) for r in _parse_int_list(args.r_grid)]
+    rows = [row(r) for r in _parse_int_list(args.r_grid, "--r-grid")]
     columns = [("kind", _CELL), ("s", _CELL), ("r", _INT), ("dim", _INT),
                ("j", _CELL), ("r_ell", _CELL), ("count", _INT)]
     return columns, rows
@@ -371,11 +384,11 @@ def _cmd_count(args: argparse.Namespace) -> Table:
 
 def _cmd_appendix_verify(args: argparse.Namespace) -> Table:
     s_frac = _parse_s(args.s)
-    grid = _parse_int_list(args.r_grid)
+    grid = _parse_int_list(args.r_grid, "--r-grid")
     table = verify_appendix_limits(s_frac, args.d, grid, tol=args.tol)
     rows = [[*row, None] for row in table]
     if args.sandwich_r:
-        for r in _parse_int_list(args.sandwich_r):
+        for r in _parse_int_list(args.sandwich_r, "--sandwich-r"):
             ok = sandwich_check(s_frac, args.d, r)
             rows.append(["sandwich", r, None, None, None, None, None, None, ok])
     # a-split rows print ratio and target 0, an int, so those columns are
@@ -386,9 +399,9 @@ def _cmd_appendix_verify(args: argparse.Namespace) -> Table:
 
 def _cmd_integral(args: argparse.Namespace) -> Table:
     s = float(_parse_s(args.s))
+    grid = _parse_int_list(args.n_grid, "--n-grid")
     # aux_integral checks s > 0 before the limit 1/(s+1) is formed
-    values = [(n, aux_integral(s, args.beta, args.a, n))
-              for n in _parse_int_list(args.n_grid)]
+    values = [(n, aux_integral(s, args.beta, args.a, n)) for n in grid]
     limit = 1.0 / (s + 1.0)
     rows = [[n, val, limit, abs(val - limit)] for n, val in values]
     # quadrature values are not known finite, so they print as cells

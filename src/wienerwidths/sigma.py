@@ -12,21 +12,41 @@ signed permutations) is
 
     multiplicity(rep) = 2^(#nonzero)  *  d! / prod (count of each value)!
 
-Since omega is coordinatewise nondecreasing, incrementing a coordinate never
-decreases the weight, so the set of canonical representatives forms a tree
-under the unique-parent rule "decrement the rightmost nonzero coordinate".
-Each node has at most two children:
+Orbits come in the order (log weight, representative): nondecreasing
+weight, ties broken by lexicographic order of the representative.  The log
+key keeps the ordering from overflowing; emitted sigma values are
+1/evaluate(rep), exact for integer-valued weights, clamped where the two
+cross by an ulp so the sequence stays exactly nonincreasing.
+
+``sigma_prefix`` enumerates that order in threshold bands.  A band is the
+set of representatives whose log weight lies in (lo, hi]; the bands follow
+one another, so their concatenation, each sorted by ``np.lexsort`` on
+(key, representative), is the order above.  Within a band the
+representatives are built a coordinate at a time: omega is coordinatewise
+nondecreasing, so the first coordinate and, given the ones before it, each
+next one run over an interval whose ends are bisections (vectorized over
+the partial representatives).  Trial thresholds are picked by counting
+those intervals, without building the band, so each band holds a bounded
+number of orbits, and its transient arrays stay a few MB whatever N is.
+The bracketing arithmetic only proposes candidates, with a slack; every
+order key and every printed value comes from ``weights.RepArrays``, bit for
+bit the scalar ``WeightSpec`` formulas, and a candidate near a band edge
+joins the band its exact key falls in.  Multiplicities, the clamp and the
+sigma^-2 blocks are arrays; only the Neumaier-compensated running sum steps
+orbit by orbit.
+
+``iter_orbits`` is the reference for that order: a best-first walk over the
+tree of canonical representatives under the unique-parent rule "decrement
+the rightmost nonzero coordinate", with a min-heap keyed by
+(log weight, representative).  Each node has at most two children:
 
     * increment the last nonzero position p (allowed when rep[p-1] > rep[p]
       or p = 0), or
     * turn the first zero position into a 1.
 
-A best-first walk over that tree with a min-heap keyed by
-(log weight, representative) therefore emits orbits in nondecreasing weight
-order, with ties broken by lexicographic order of the representative; no
-visited set is needed.  Emitted sigma values are 1/evaluate(rep), which is
-exact for integer-valued weights; the heap key stays in the log domain so
-the ordering never overflows.
+Incrementing a coordinate never decreases the weight, so the heap pops in
+the same order, and no visited set is needed.  The tests compare the two
+bit for bit.
 
 ``sigma_bruteforce`` is the deliberately dumb cross-check: evaluate the whole
 box |k|_inf <= R with vectorized numpy arithmetic, partial-sort, and certify
@@ -38,13 +58,15 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .weights import WeightSpec, log_weight_box
+from .weights import RepArrays, WeightSpec, log_weight_box
 
 __all__ = [
     "SigmaPrefix",
@@ -63,6 +85,15 @@ _COUNT_LOG_TOL = 1e-12
 
 # Longest prefix a command may enumerate: 16 bytes per term, 480 MB.
 _PREFIX_CAP = 30_000_000
+
+# Orbits a band aims at (or more, as many as the partial representatives
+# of its last layer), and points written per fill step: the transient
+# arrays of a band stay within a few MB.
+_BAND = 1 << 12
+_FILL = 1 << 13
+# Multiplicities saturate here, above any prefix length that fits in memory.
+_MULT_CAP = 1 << 40
+_FLOAT_MAX = sys.float_info.max
 
 
 class ResourceLimitError(RuntimeError):
@@ -139,54 +170,265 @@ class SigmaPrefix:
     def n_max(self) -> int:
         return len(self.values)
 
-    def sigma(self, n: int) -> float:
-        """sigma_n (1-based)."""
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"n={n} outside prefix of length {self.n_max}")
-        return float(self.values[n - 1])
+
+def _multiplicities(reps: np.ndarray) -> np.ndarray:
+    """orbit_multiplicity of every row, capped at _MULT_CAP.
+
+    Along a sorted row, run[i] counts the equal entries up to i, so the
+    product of the runs is prod (count of each value)!; the multinomial
+    grows one position at a time, m * (i + 1) // run, exactly."""
+    n, d = reps.shape
+    mult = np.ones(n, np.int64)
+    run = np.ones(n, np.int64)
+    for i in range(1, d):
+        run = np.where(reps[:, i] == reps[:, i - 1], run + 1, 1)
+        mult = np.minimum(mult * (i + 1) // run, _MULT_CAP)
+    signs = np.minimum(np.count_nonzero(reps, axis=1), 62)
+    return np.where(mult > _MULT_CAP >> signs, _MULT_CAP, mult << signs)
+
+
+def _last_at_most(key, ok, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row, the largest a in [lo, hi] with ok(*key(a)), or lo - 1 where
+    there is none; ok must hold on an initial segment of each row."""
+    lo = lo - 1
+    while True:
+        active = hi > lo
+        if not active.any():
+            return lo
+        mid = (lo + hi + 1) >> 1
+        good = ok(*key(np.maximum(mid, 0)))
+        lo = np.where(active & good, mid, lo)
+        hi = np.where(active & ~good, mid - 1, hi)
+
+
+def _bisect(pred, lo: int, hi: int) -> int:
+    """The largest a in [lo, hi] with pred(a), or lo - 1 where there is
+    none; pred must hold on an initial segment."""
+    lo -= 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _expand(cols: list, L: np.ndarray, U: np.ndarray) -> list:
+    """The columns of the rows (partial row i, a) for every a in
+    L[i]..U[i], in order."""
+    counts = np.maximum(U - L + 1, 0)
+    starts = np.cumsum(counts) - counts
+    new = np.arange(int(counts.sum())) - np.repeat(starts - L, counts)
+    return [np.repeat(c, counts) for c in cols] + [new]
+
+
+def _frame(arrays: RepArrays, lo: float, hi: float, axis: int, limit: int):
+    """The candidates for the band (lo, hi], layer by layer, short of the
+    last layer: (columns, L, U, rows of the widest layer), where the last
+    coordinate of the partial representative in row i runs over
+    L[i]..U[i].  None when the first coordinate passes axis + limit (the
+    axis points past ``axis`` are all candidates) or a layer holds more
+    than ``limit`` rows.
+
+    A partial representative (a_0, ..., a_j) is kept while its smallest
+    completion, the rest zero, may weigh at most hi and its largest, every
+    remaining coordinate a_j, may weigh more than lo; omega is
+    coordinatewise nondecreasing, so both bounds are bisections.  The first
+    coordinate's bounds use the exact scalar key, searched from ``axis``,
+    which weighs at most lo; the others use the tables' bracketing keys,
+    whose slack keeps every representative with exact key in (lo, hi].
+    """
+    spec = arrays.spec
+    d = spec.d
+    key = spec._log_evaluate_abs
+    rest = [0] * (d - 1)
+    top = axis + 1
+    while key([top] + rest) <= hi:
+        if top - axis > limit:
+            return None
+        top = axis + 2 * (top - axis)
+    U = _bisect(lambda a: key([a] + rest) <= hi, axis, top - 1)
+    L = 0 if lo == -math.inf else 1 + _bisect(lambda a: key([a] * d) <= lo, 0, U)
+    L, U = np.array([L]), np.array([U])
+    if d > 1:
+        arrays.reserve(int(U[0]))
+    cols: list[np.ndarray] = []
+    widest = 1
+    for j in range(1, d):
+        cols = _expand(cols, L, U)
+        widest = max(widest, len(cols[0]))
+        if widest > limit:
+            return None
+        state = arrays.bracket(len(cols[0]))
+        for c in cols:
+            state = arrays.push(state, c)
+        zero = np.zeros(len(cols[0]), np.int64)
+        U = _last_at_most(lambda a: arrays.key(arrays.push(state, a)),
+                          lambda k, slack: k - slack <= hi, zero, cols[-1])
+        if lo == -math.inf:
+            L = zero
+        else:
+            L = 1 + _last_at_most(
+                lambda a: arrays.key(arrays.push(state, a, d - j)),
+                lambda k, slack: k + slack <= lo, zero, U)
+    return cols, L, U, widest
+
+
+def _pick_band(arrays: RepArrays, lo: float, step: float, target: int,
+               axis: int, rows: int):
+    """A threshold hi > lo whose band (lo, hi] holds about target to
+    2 target orbits, by counting the candidates of trial thresholds; returns
+    (hi, frame, step taken).  ``axis`` is the largest first coordinate of
+    the earlier bands, and ``rows`` the widest layer of the band before.  A
+    trial stops where the axis passes axis + limit, or a layer holds more
+    than limit rows, limit 2 max(target, rows): no table or layer grows far
+    beyond the band and its partial representatives."""
+    base = max(lo, 0.0)
+    limit = 2 * max(target, rows) + 64
+
+    def threshold(step: float) -> float:
+        return min(max(base + step, math.nextafter(base, math.inf)), _FLOAT_MAX)
+
+    below = above = None  # (step, hi, frame) with too few / too many orbits
+    halvings = 0
+    first = step
+    for _ in range(64):
+        hi = threshold(step)
+        frame = _frame(arrays, lo, hi, axis, limit)
+        if frame is None:
+            count = None
+        else:
+            _, L, U, _ = frame
+            count = int(np.maximum(U - L + 1, 0).sum())
+            if target <= count <= 2 * target:
+                return hi, frame, step
+        if count is None or count > 2 * target:
+            above = (step, hi, frame)
+        else:
+            below = (step, hi, frame)
+            if hi == _FLOAT_MAX:
+                break
+        # count is about proportional to step in a thin band
+        if above is None:
+            step *= min(4.0, max(2.0, 1.5 * target / max(count, 1)))
+        elif below is None:
+            step *= 0.5 if count is None else max(0.25, 1.5 * target / count)
+        else:
+            # a dozen halvings that still straddle the range meet a tie
+            # class, or a cluster the bracketing slack cannot split
+            mid = 0.5 * (below[0] + above[0])
+            if halvings == 12 or not below[0] < mid < above[0]:
+                break
+            halvings += 1
+            step = mid
+    # a tie class, or the float range, ends the search; take the larger band
+    # when it was counted
+    if above is not None and above[2] is not None:
+        return above[1], above[2], above[0]
+    if below is not None:
+        return below[1], below[2], below[0]
+    # every trial passed the limit; the first one goes ahead without it
+    hi = threshold(first)
+    return hi, _frame(arrays, lo, hi, axis, math.inf), first
+
+
+def _band(arrays: RepArrays, lo: float, hi: float, frame) -> np.ndarray:
+    """The canonical representatives with exact log weight in (lo, hi], in
+    heap order: by (log weight, representative).  The layers expand in
+    lexicographic order, so a stable sort by key is that order."""
+    cols = _expand(*frame[:3])
+    reps = np.stack(cols, axis=1)
+    keys = arrays.log_weights(reps)
+    inside = (keys > lo) & (keys <= hi)
+    reps, keys = reps[inside], keys[inside]
+    return reps[np.argsort(keys, kind="stable")]
+
+
+def _fill(values, cum, at, v, base, inv_sq, takes, ends) -> None:
+    """Write the band's points from position ``at``: orbit i fills
+    ends[i] - takes[i] .. ends[i] - 1 with sigma v[i] and cumulative sums
+    base[i] + inv_sq[i] * j, j = 1..takes[i], a block of points at a time."""
+    for p0 in range(0, int(ends[-1]), _FILL):
+        p = np.arange(p0, min(p0 + _FILL, int(ends[-1])))
+        i = np.searchsorted(ends, p, side="right")
+        j = p - (ends[i] - takes[i]) + 1
+        values[at + p0 : at + p0 + len(p)] = v[i]
+        cum[at + p0 : at + p0 + len(p)] = base[i] + inv_sq[i] * j
 
 
 def sigma_prefix(spec: WeightSpec, n_max: int) -> SigmaPrefix:
-    """Compute the first n_max rearrangement values by best-first orbit walk.
+    """Compute the first n_max rearrangement values by banded threshold
+    enumeration.
 
-    Deterministic: heap order is (log weight, representative), and orbits
-    expand as blocks of equal values.  Raises CumSumOverflowError when
-    sigma^-2 or its running sum leaves the double range.
+    Orbits come in heap order, (log weight, representative), a band of
+    orbits at a time, and expand as blocks of equal values.  Raises
+    CumSumOverflowError when sigma^-2 or its running sum leaves the double
+    range.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     values = np.empty(n_max)
     cum = np.empty(n_max)
-    filled = 0
+    arrays = RepArrays(spec)
+    # the first trial threshold: the axis point 2
+    step = max(spec._log_evaluate_abs([2] + [0] * (spec.d - 1)), 5e-324)
+    filled = orbits = axis = 0
     total = 0.0  # Neumaier-compensated running sum of sigma^-2
     comp = 0.0
-    for _, rep in iter_orbits(spec):
-        w = spec.evaluate(rep)
-        inv_sq = w * w
-        if not math.isfinite(inv_sq):
-            raise CumSumOverflowError("cumsum overflow; reduce N or s")
-        take = min(orbit_multiplicity(rep), n_max - filled)
-        v = 1.0 / w
-        if filled and v > values[filled - 1]:
-            # equal-weight orbits can cross by one ulp between the log heap
-            # key and the direct evaluation; clamp to keep the sequence
-            # exactly nonincreasing
-            v = values[filled - 1]
-        values[filled : filled + take] = v
-        base = total + comp
-        cum[filled : filled + take] = base + inv_sq * np.arange(1, take + 1)
-        block = inv_sq * take
-        t = total + block
-        if abs(total) >= abs(block):
-            comp += (total - t) + block
-        else:
-            comp += (block - t) + total
-        total = t
-        if not math.isfinite(total):
-            raise CumSumOverflowError("cumsum overflow; reduce N or s")
-        filled += take
-        if filled == n_max:
-            break
+    last = math.inf  # the last value written
+    lo = -math.inf
+    rows = 0  # partial representatives in the widest layer of the last band
+    with np.errstate(over="ignore", invalid="ignore"):
+        while filled < n_max:
+            # orbits still wanted, at the mean multiplicity so far
+            want = (n_max - filled) * orbits / filled if filled else n_max
+            # the first band, of unknown multiplicity, stays small; a band
+            # spans at least the rows its bisections run over
+            target = min(max(_BAND, rows) if filled else 1024, int(1.1 * want) + 8)
+            hi, frame, step = _pick_band(arrays, lo, step, target, axis, rows)
+            rows = frame[3]
+            reps = _band(arrays, lo, hi, frame)
+            if not len(reps):
+                if hi == _FLOAT_MAX:
+                    # every further orbit has an infinite log weight
+                    raise CumSumOverflowError("cumsum overflow; reduce N or s")
+                lo = hi
+                continue
+            axis = max(axis, int(reps[:, 0].max()))
+            takes = _multiplicities(reps)
+            ends = np.cumsum(takes)
+            if ends[-1] >= n_max - filled:
+                k = int(np.searchsorted(ends, n_max - filled)) + 1
+                reps, takes, ends = reps[:k], takes[:k], ends[:k]
+                takes[-1] -= ends[-1] - (n_max - filled)
+                ends[-1] = n_max - filled
+            w = arrays.weights(reps)
+            inv_sq = w * w
+            if not np.isfinite(inv_sq).all():
+                raise CumSumOverflowError("cumsum overflow; reduce N or s")
+            # equal-weight orbits can cross by one ulp between the log key
+            # and the direct evaluation; clamp to keep the sequence exactly
+            # nonincreasing
+            v = np.minimum.accumulate(np.concatenate(([last], 1.0 / w)))[1:]
+            bases = array("d")  # doubles, not float objects
+            for block in (inv_sq * takes).tolist():
+                bases.append(total + comp)
+                t = total + block
+                if total >= block:  # both nonnegative: |total| >= |block|
+                    comp += (total - t) + block
+                else:
+                    comp += (block - t) + total
+                total = t
+            if not math.isfinite(total):
+                raise CumSumOverflowError("cumsum overflow; reduce N or s")
+            _fill(values, cum, filled, v, np.frombuffer(bases), inv_sq, takes, ends)
+            filled += int(ends[-1])
+            orbits += len(reps)
+            last = float(v[-1])
+            # aim the next band at 1.5 target from the density of this one
+            step *= min(4.0, max(0.25, 1.5 * target / len(reps)))
+            lo = hi
     return SigmaPrefix(spec, values, cum)
 
 

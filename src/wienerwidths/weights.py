@@ -23,9 +23,11 @@ Shared structural properties, relied on by the enumeration kernels in
 
 Comparisons between lattice points go through ``log_evaluate``, an
 overflow-safe logarithm accurate to ~1e-13 absolute at desk scales.  No tie
-band is applied: the enumeration heap orders orbits by (log weight, canonical
-representative), and ``sigma_prefix`` clamps a one-ulp crossing between that
-log key and the direct evaluation so the values stay exactly nonincreasing.
+band is applied: the enumeration orders orbits by (log weight, canonical
+representative), with both computed over whole bands of representatives by
+``RepArrays`` bit for bit as the scalar formulas compute them, and
+``sigma_prefix`` clamps a one-ulp crossing between that log key and the
+direct evaluation so the values stay exactly nonincreasing.
 
 The isotropic families are evaluatable and enumerable like the others, but
 their width *asymptotics* are not covered by the supported constants.
@@ -33,6 +35,7 @@ their width *asymptotics* are not covered by the supported constants.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -230,6 +233,209 @@ class WeightSpec:
             else:
                 hi = mid
         return lo
+
+
+def _or_nan(fn):
+    """fn(v), or nan where the scalar formula raises OverflowError; a nan
+    row is evaluated again by the scalar formula, overflow fallback and all."""
+
+    def safe(v: int) -> float:
+        try:
+            return fn(v)
+        except OverflowError:
+            return math.nan
+
+    return safe
+
+
+def _map(fn, values, count: int) -> np.ndarray:
+    """fn over the integers ``values`` as a float array, nan where fn
+    overflows."""
+    try:
+        return np.fromiter(map(fn, values), float, count)
+    except OverflowError:
+        return np.fromiter(map(_or_nan(fn), values), float, count)
+
+
+def _per_row(out: np.ndarray, rows: np.ndarray, pick, fn) -> None:
+    """out[i] = fn(list(rows[i])) where pick[i], a block of rows at a time,
+    so the row lists stay small."""
+    idx = np.flatnonzero(pick)
+    for lo in range(0, len(idx), 4096):
+        part = idx[lo:lo + 4096]
+        out[part] = np.fromiter(map(fn, rows[part].tolist()), float, len(part))
+
+
+class RepArrays:
+    """One weight over arrays of canonical representatives.
+
+    A representative is a row of d int64 columns, |k_i| sorted
+    nonincreasing.  ``log_weights`` and ``weights`` equal
+    ``WeightSpec.log_evaluate`` and ``WeightSpec.evaluate`` bit for bit.  The
+    per-coordinate terms come from tables filled by the scalar code's own
+    ``math`` calls and are combined with IEEE + * / sqrt in the scalar
+    order; a two-term ``fsum`` is one correctly rounded addition.  Rows the
+    scalar code combines otherwise go through the scalar formula: three or
+    more fsum terms, isotropic-sr's inner sum with two nonzero coordinates,
+    and a table entry that overflowed.  mixed-inf's float(prod) ** s and
+    h1-ratio's log1p(ssq) run once per row, through ``map``.
+
+    ``bracket``, ``push`` and ``key`` only bracket: they may use numpy
+    transcendentals, which can differ from libm in the last bit, and
+    ``key`` returns a slack with each key that bounds how far it may sit
+    from the exact one.
+    """
+
+    def __init__(self, spec: WeightSpec) -> None:
+        self.spec = spec
+        s, r, d, fam = spec.s, spec.r, spec.d, spec.family
+        zeros = [0] * (d - 1)
+        # name -> scalar term of one coordinate
+        if fam is Family.MIXED_SR:
+            e = s / r
+            terms = {"key": lambda v: _log1p_pow(v, r),
+                     "val": lambda v: (1.0 + float(v) ** r) ** e}
+        elif fam is Family.MIXED_INF:
+            terms = {"key": lambda v: math.log(v) if v > 1 else 0.0}
+        elif fam is Family.ISOTROPIC_INF:
+            terms = {"key": lambda v: s * math.log(v) if v > 1 else 0.0,
+                     "val": lambda v: float(max(1, v)) ** s}
+        elif fam is Family.H1_RATIO:
+            half = 0.5 * s
+            terms = {"key": lambda v: math.log1p(v * v),
+                     "val": lambda v: (1.0 + v * v) ** half}
+        else:
+            # isotropic-sr: exact on the axes only; "lp" is log v^r
+            terms = {"key": lambda v: spec._log_evaluate_abs([v] + zeros),
+                     "val": lambda v: spec.evaluate([v] + zeros),
+                     "lp": lambda v: r * math.log(v) if v else -math.inf}
+        self._terms = terms
+        self._tables = {name: np.empty(0) for name in terms}
+
+    def reserve(self, top: int) -> None:
+        """Fill every table up to coordinate ``top``."""
+        for name, table in self._tables.items():
+            n = len(table)
+            if n > top:
+                continue
+            size = max(top + 1, n + n // 4)
+            grown = np.empty(size)
+            grown[:n] = table
+            grown[n:] = _map(self._terms[name], range(n, size), size - n)
+            self._tables[name] = grown
+
+    def _at(self, name: str, idx: np.ndarray) -> np.ndarray:
+        """The terms at the coordinates idx: from the table where it reaches
+        them, else computed (d = 1 keeps no table: its bands are disjoint
+        ranges of the one coordinate)."""
+        table = self._tables[name]
+        if not idx.size or idx.max() < len(table):
+            return table[idx]
+        return _map(self._terms[name], idx.ravel().tolist(), idx.size).reshape(idx.shape)
+
+    # -- exact ---------------------------------------------------------------
+
+    def log_weights(self, reps: np.ndarray) -> np.ndarray:
+        """``WeightSpec.log_evaluate`` of every row, bit for bit."""
+        spec, fam = self.spec, self.spec.family
+        if fam in (Family.ISOTROPIC_INF, Family.ISOTROPIC_SR):
+            out = self._at("key", reps[:, 0])
+            if fam is Family.ISOTROPIC_SR and spec.d > 1:
+                _per_row(out, reps, reps[:, 1] > 0, spec._log_evaluate_abs)
+            return out
+        # the fsum terms; mixed-inf's term is 0.0 where the scalar code
+        # leaves v <= 1 out of the sum, which does not change an fsum
+        terms = self._at("key", reps)
+        out = terms[:, 0] + terms[:, 1] if spec.d > 1 else terms[:, 0]
+        if spec.d > 2:
+            _per_row(out, terms, terms[:, 2] > 0, math.fsum)
+        if fam is Family.MIXED_SR:
+            return (spec.s / spec.r) * out
+        if fam is Family.MIXED_INF:
+            return spec.s * out
+        ssq = np.einsum("ij,ij->i", reps, reps)
+        log1p = np.fromiter(map(math.log1p, ssq.tolist()), float, len(ssq))
+        return 0.5 * spec.s * out - 0.5 * log1p
+
+    def weights(self, reps: np.ndarray) -> np.ndarray:
+        """``WeightSpec.evaluate`` of every row, bit for bit."""
+        spec, fam = self.spec, self.spec.family
+        scalar = None
+        if fam is Family.MIXED_INF:
+            s = spec.s
+            prod = np.maximum(reps, 1).prod(axis=1).tolist()
+            try:
+                out = np.fromiter(map(pow, map(float, prod), itertools.repeat(s)),
+                                  float, len(prod))
+            except OverflowError:
+                power = _or_nan(lambda p: float(p) ** s)
+                out = np.fromiter(map(power, prod), float, len(prod))
+        elif fam in (Family.ISOTROPIC_INF, Family.ISOTROPIC_SR):
+            out = self._at("val", reps[:, 0])
+            if spec.d > 1 and fam is Family.ISOTROPIC_SR:
+                scalar = reps[:, 1] > 0
+        else:
+            val = self._at("val", reps)
+            out = val[:, 0]
+            for j in range(1, spec.d):
+                out = out * val[:, j]
+            if fam is Family.H1_RATIO:
+                out = out / np.sqrt(1.0 + np.einsum("ij,ij->i", reps, reps))
+        nan = np.isnan(out)
+        scalar = nan if scalar is None else scalar | nan
+        _per_row(out, reps, scalar, spec.evaluate)
+        return out
+
+    # -- bracketing ----------------------------------------------------------
+
+    def bracket(self, n: int) -> tuple:
+        """The bracketing state of n empty partial representatives."""
+        fam = self.spec.family
+        if fam in (Family.ISOTROPIC_INF, Family.ISOTROPIC_SR):
+            # the largest coordinate, -1 while there is none, and for
+            # isotropic-sr sum (v / max)^r
+            acc = np.zeros(n) if fam is Family.ISOTROPIC_SR else None
+            return (np.full(n, -1, np.int64), acc)
+        # sum of the coordinate key terms, and h1-ratio's sum of squares
+        acc = np.zeros(n, np.int64) if fam is Family.H1_RATIO else None
+        return (np.zeros(n), acc)
+
+    def push(self, state: tuple, a, k: int = 1) -> tuple:
+        """The state after appending k copies of the coordinates a; a state
+        is a tuple of per-row arrays and Nones."""
+        first, acc = state
+        fam = self.spec.family
+        if fam in (Family.ISOTROPIC_INF, Family.ISOTROPIC_SR):
+            top = np.where(first < 0, a, first)
+            if fam is Family.ISOTROPIC_SR:
+                lp = self._tables["lp"]
+                acc = acc + k * np.exp(lp[a] - lp[np.maximum(top, 1)])
+            return (top, acc)
+        first = first + k * self._tables["key"][a]
+        if fam is Family.H1_RATIO:
+            acc = acc + k * a * a
+        return (first, acc)
+
+    def key(self, state: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """(log omega up to rounding, its slack) of each state's
+        representative, its remaining coordinates zero."""
+        spec, fam = self.spec, self.spec.family
+        first, acc = state
+        if fam is Family.ISOTROPIC_INF:
+            out = self._tables["key"][np.maximum(first, 0)]
+            return out, 1e-9 * out + 1e-323
+        if fam is Family.ISOTROPIC_SR:
+            lm = self._tables["lp"][np.maximum(first, 1)]
+            out = (spec.s / spec.r) * (lm + np.log(acc + np.exp(-lm)))
+            return out, 1e-9 * out + 1e-323
+        if fam is Family.H1_RATIO:
+            # the difference cancels: its rounding scales with the terms
+            minus = 0.5 * np.log1p(acc)
+            out = 0.5 * spec.s * first - minus
+            return out, 1e-9 * out + 1e-13 * (out + 2.0 * minus) + 1e-323
+        c = spec.s / spec.r if fam is Family.MIXED_SR else spec.s
+        out = c * first
+        return out, 1e-9 * out + 1e-323
 
 
 def _broadcast_sum(f: np.ndarray, d: int) -> np.ndarray:

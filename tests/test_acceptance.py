@@ -138,7 +138,7 @@ def test_c06_transfer_ratios():
     n = 10 ** 5
     u = width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, [n])[0].value
     v = width(p, Embedding.A_TO_L2, WidthKind.BERNSTEIN, [n])[0].value
-    sn = p.sigma(n)
+    sn = float(p.values[n - 1])
     dev_u = abs(u / sn - 2.0 / 3.0) / (2.0 / 3.0)
     dev_v = abs(v * math.sqrt(n) / sn - math.sqrt(3.0)) / math.sqrt(3.0)
     report(6, "transfer ratios", dev_u <= 0.01 and dev_v <= 0.01,
@@ -150,7 +150,7 @@ def test_c07_h1_constant_d1():
     t0 = time.time()
     p = sigma_prefix(WeightSpec(Family.H1_RATIO, s=2.0, d=1), 10 ** 5)
     n = 10 ** 5
-    ratio = n * p.sigma(n)  # n^{s-1} sigma_n at s=2
+    ratio = n * float(p.values[n - 1])  # n^{s-1} sigma_n at s=2
     dev = abs(ratio - 2.0) / 2.0
     report(7, "h1 constant d=1", dev <= 0.002,
            f"n^(s-1) sigma_n = {ratio:.10f}, rel dev {dev:.2e}, {time.time()-t0:.1f}s")
@@ -332,7 +332,7 @@ def test_c13_preasymptotic_bound():
         expo = 1.0 / (1.0 + math.log2(d - 1))
         p = sigma_prefix(WeightSpec(Family.MIXED_SR, s=1.0, d=d, r=1.0), 2 ** d)
         for n in range(2, 2 ** d + 1):
-            ok = ok and p.sigma(n) <= (cd / n) ** expo
+            ok = ok and float(p.values[n - 1]) <= (cd / n) ** expo
     report(13, "preasymptotic bound", ok, f"d in {{3,4}}, n<=2^d, {time.time()-t0:.1f}s")
 
 
@@ -341,7 +341,7 @@ def test_c14_d2_ratio_trend():
     p = sigma_prefix(WeightSpec(Family.MIXED_INF, s=1.0, d=2), 10 ** 6)
     rows = []
     for n in (10 ** 4, 10 ** 5, 10 ** 6):
-        rows.append((n, n * p.sigma(n) / math.log(n)))
+        rows.append((n, n * float(p.values[n - 1]) / math.log(n)))
     ratios = [r for _, r in rows]
     monotone = ratios[0] < ratios[1] < ratios[2] < 4.0
     within = abs(ratios[2] - 4.0) / 4.0 <= 0.25

@@ -161,6 +161,15 @@ def test_exit_code_resource_cap(monkeypatch, capsys):
          "denominator above 64"),
         (["sigma", "--family", "mixed-inf", "--s", "400", "--d", "1",
           "--n", "10"], "error: cumsum overflow; reduce N or s"),
+        # grids whose rows are all computed before the first byte
+        (["integral", "--s", "2", "--beta", "2.5", "--a", "4",
+          "--n-grid", "100..1e300"],
+         "error: grid cap 100000 exceeded: --n-grid has more entries"),
+        (["count", "--s", "3/2", "--d", "2", "--r-grid", "1..1e300"],
+         "error: grid cap 100000 exceeded: --r-grid has more entries"),
+        (["appendix-verify", "--s", "2", "--d", "2", "--r-grid", "8",
+          "--sandwich-r", "1..1e300,5"],
+         "error: grid cap 100000 exceeded: --sandwich-r has more entries"),
     ]:
         out = run_cli(*argv)
         assert out.returncode == 3, argv
@@ -605,3 +614,16 @@ def test_sigma_table_memory_is_bounded():
         small = _peak_rss_mb([*sigma, "--n", "10", "--format", fmt])
         large = _peak_rss_mb([*sigma, "--n", "3e5", "--format", fmt])
         assert large - small < bound_mb, (fmt, small, large)
+
+
+@pytest.mark.parametrize("weight, n", [
+    (["--family", "h1-ratio", "--s", "15/8", "--d", "2"], "1e5"),
+    (["--family", "mixed-sr", "--s", "7/4", "--r", "2", "--d", "3"], "2e5"),
+    (["--family", "mixed-inf", "--s", "1", "--d", "1"], "4e5"),
+])
+def test_enumeration_memory_is_bounded(weight, n):
+    # the enumeration's bands and tables stay small next to the prefix
+    # arrays, 16 bytes per row: 1.6, 3.2 and 6.4 MB here
+    small = _peak_rss_mb(["sigma", *weight, "--n", "10"])
+    large = _peak_rss_mb(["sigma", *weight, "--n", n])
+    assert large - small < 12, (small, large)

@@ -5,7 +5,9 @@ The grammar draws the options of all seven subcommands from edge values
 (0, negatives, nan, inf, 1e300, 1e-300, values beyond the float range,
 ``3/0``, empty and reversed grids), leaves options out or combines the ones
 that conflict, and keeps the sizes a valid command can ask for small:
-n <= 1e4, r <= 50, d <= 3.  Each call runs in-process under a 5 s alarm.
+n <= 1e4, r <= 50, d <= 3, except the ranges up to 1e300 that the grid
+cap of count, appendix-verify and integral refuses.  Each call runs
+in-process under a 5 s alarm.
 The contract: the exit code is 0, 2 or 3; no exception escapes ``main``;
 stdout is empty unless the exit code is 0; and a table printed with exit 0
 holds no nan or inf in any spelling.
@@ -53,18 +55,24 @@ class _Timeout(BaseException):
     refusal."""
 
 
-def _grid(entries, bounded=None):
+def _grid(entries, bounded=None, long=False):
     """One entry, a list, a range, a reversed range, or an empty grid;
-    range ends come from ``bounded`` when given, so a range stays small."""
+    range ends come from ``bounded`` when given, so a range stays small.
+    ``long`` adds ranges up to 1e300, alone or in a list, which the grid
+    cap refuses."""
     ends = entries if bounded is None else bounded
     ends = st.tuples(ends, ends)
     lists = st.tuples(entries, entries).map(",".join)
     ranges = ends.map("..".join)
-    return st.one_of(
+    grids = [
         entries, entries, lists, ranges, ranges,
         ends.map(lambda p: "..".join(sorted(p, key=_size, reverse=True))),
         st.sampled_from(["", ",", "5..1", "1,,3"]),
-    )
+    ]
+    if long:
+        longs = st.tuples(entries, entries).map(lambda p: p[0] + "..1e300")
+        grids += [longs, st.tuples(longs, entries).map(",".join)]
+    return st.one_of(*grids)
 
 
 def _size(text):
@@ -124,18 +132,18 @@ def _argv(draw):
         option("--ell", _D)
         option("--j", _D)
         option("--r-ell", st.one_of(_R, st.just("auto")))
-        option("--r-grid", _grid(_R), True)
+        option("--r-grid", _grid(_R, long=True), True)
     elif command == "appendix-verify":
         option("--s", _SMOOTHNESS, True)
         option("--d", _D, True)
-        option("--r-grid", _grid(_R), True)
-        option("--sandwich-r", _grid(_R))
+        option("--r-grid", _grid(_R, long=True), True)
+        option("--sandwich-r", _grid(_R, long=True))
         option("--tol", _REALS)
     else:
         option("--s", _SMOOTHNESS, True)
         option("--beta", _REALS, True)
         option("--a", _REALS, True)
-        option("--n-grid", _grid(_N, _N_BOUNDED), True)
+        option("--n-grid", _grid(_N, _N_BOUNDED, long=True), True)
     if draw(st.booleans()):
         argv += ["--format", "json"]
     return argv

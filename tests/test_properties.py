@@ -84,7 +84,7 @@ def test_count_leq_matches_prefix_ties(family, data, n_max):
 
 def _check_widths(prefix, n):
     spec = prefix.spec
-    sig = prefix.sigma(n)
+    sig = float(prefix.values[n - 1])
     l2 = {k: width(prefix, Embedding.A_TO_L2, k, [n])[0]
           for k in WidthKind}
     assert all(w.exact for w in l2.values())

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wienerwidths import (
     BoxTooSmallError,
@@ -17,7 +19,8 @@ from wienerwidths import (
     sigma_bruteforce,
     sigma_prefix,
 )
-from conftest import oracle_prefix
+from wienerwidths.sigma import _multiplicities
+from conftest import heap_prefix, oracle_prefix
 
 
 def test_prefix_mixed_inf_d1():
@@ -30,7 +33,8 @@ def test_prefix_mixed_inf_d1():
 def test_prefix_mixed_inf_d2():
     spec = WeightSpec(Family.MIXED_INF, s=2.0, d=2)
     p = sigma_prefix(spec, 10)
-    assert p.sigma(10) == 0.25  # tenth-smallest weight is 2^s
+    assert p.n_max == 10
+    assert p.values[9] == 0.25  # tenth-smallest weight is 2^s
 
 
 def test_prefix_h1_d1():
@@ -80,26 +84,74 @@ def test_prefix_determinism():
     assert np.array_equal(np.asarray(c.values)[:5000], a.values)
 
 
-def test_sigma_accessor_bounds():
-    spec = WeightSpec(Family.MIXED_INF, s=1.0, d=1)
-    p = sigma_prefix(spec, 10)
-    assert p.n_max == 10
-    assert p.sigma(1) == 1.0
-    with pytest.raises(ValueError):
-        p.sigma(0)
-    with pytest.raises(ValueError):
-        p.sigma(11)
-
-
 def test_orbit_multiplicity_bruteforce():
-    # multiplicity = number of signed permutations, checked exhaustively
+    # multiplicity = number of signed permutations, checked exhaustively,
+    # for the scalar reference and the array form the enumeration uses
     for d in (1, 2, 3, 4):
         seen = {}
-        for k in itertools.product(range(-3, 4), repeat=d):
+        for k in itertools.product(range(-4, 5), repeat=d):
             rep = tuple(sorted(map(abs, k), reverse=True))
             seen[rep] = seen.get(rep, 0) + 1
-        for rep, cnt in seen.items():
-            assert orbit_multiplicity(rep) == cnt
+        reps = sorted(seen)
+        vectorized = _multiplicities(np.array(reps, dtype=np.int64))
+        for rep, mult in zip(reps, vectorized.tolist()):
+            assert orbit_multiplicity(rep) == seen[rep] == mult
+
+
+_IDENTITY = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=25)
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@_IDENTITY
+@given(data=st.data(), d=st.integers(1, 4), n_max=st.integers(1, 20_000))
+def test_prefix_bit_identical_to_heap(family, data, d, n_max):
+    # integer and half-integer s tie whole classes of mixed-inf and
+    # isotropic-inf orbits; r = 1 and 3/2 make mixed-sr clamp often
+    if family is Family.H1_RATIO:
+        s = data.draw(st.sampled_from([1.25, 1.5, 15 / 8, 2.0, 2.5, 3.0]))
+    else:
+        s = data.draw(st.sampled_from([0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 7 / 4]))
+    r = None
+    if family in (Family.MIXED_SR, Family.ISOTROPIC_SR):
+        r = data.draw(st.sampled_from([1.0, 1.5, 2.0]))
+    spec = WeightSpec(family, s=s, d=d, r=r)
+    fast = sigma_prefix(spec, n_max)
+    ref = heap_prefix(spec, n_max)
+    assert fast.values.tobytes() == ref.values.tobytes()
+    assert fast.cum_inv_sq.tobytes() == ref.cum_inv_sq.tobytes()
+
+
+def _clamps(spec, n_max):
+    """How often the reference clamps 1/evaluate to the value before it."""
+    fired, filled, prev = 0, 0, math.inf
+    for _, rep in iter_orbits(spec):
+        v = 1.0 / spec.evaluate(rep)
+        fired += v > prev
+        prev = min(v, prev)
+        filled += orbit_multiplicity(rep)
+        if filled >= n_max:
+            return fired
+
+
+@pytest.mark.parametrize("spec, n_max", [
+    # cmix-to-l2 with m = 1
+    (WeightSpec(Family.MIXED_SR, s=1.0, d=2, r=2.0), 30_000),
+    # every orbit of largest coordinate m weighs m^s: whole shells tie
+    (WeightSpec(Family.ISOTROPIC_INF, s=2.0, d=3), 30_000),
+    # the clamp first fires at the orbit (3, 3), n = 109
+    (WeightSpec(Family.MIXED_SR, s=3.0, d=2, r=2.0), 5_000),
+    # nearly flat along the axes: the layer of first coordinates is wider
+    # than the last layer, and bands must still be found
+    (WeightSpec(Family.H1_RATIO, s=1.0987327173636765, d=3), 68_494),
+])
+def test_prefix_bit_identical_fixed(spec, n_max):
+    if spec.r == 2.0 and spec.s == 3.0:
+        assert _clamps(spec, n_max) > 0
+    fast = sigma_prefix(spec, n_max)
+    ref = heap_prefix(spec, n_max)
+    assert fast.values.tobytes() == ref.values.tobytes()
+    assert fast.cum_inv_sq.tobytes() == ref.cum_inv_sq.tobytes()
 
 
 def test_iter_orbits_nondecreasing_and_complete():
@@ -199,9 +251,11 @@ def test_bruteforce_matches_fast_path_random(rng):
 
 
 def test_overflow_guard():
-    spec = WeightSpec(Family.MIXED_INF, s=500.0, d=1)
-    with pytest.raises(CumSumOverflowError):
-        sigma_prefix(spec, 20)
+    for s in (400.0, 500.0):
+        spec = WeightSpec(Family.MIXED_INF, s=s, d=1)
+        for prefix in (sigma_prefix, heap_prefix):
+            with pytest.raises(CumSumOverflowError):
+                prefix(spec, 20)
 
 
 def test_bad_arguments():

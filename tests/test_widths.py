@@ -104,7 +104,7 @@ def test_chain_inequalities_a_to_l2():
             dd = width(p, Embedding.A_TO_L2, WidthKind.KOLMOGOROV, [n])[0].value
             assert v == x
             assert u == dd
-            assert v <= u <= p.sigma(n) * (1 + 1e-12)
+            assert v <= u <= float(p.values[n - 1]) * (1 + 1e-12)
 
 
 def test_a_to_a_equals_f_to_l2_all_kinds():
@@ -114,7 +114,7 @@ def test_a_to_a_equals_f_to_l2_all_kinds():
         for kind in ALL_KINDS:
             a = width(p, Embedding.A_TO_A, kind, [n])[0].value
             f = width(p, Embedding.F_TO_L2, kind, [n])[0].value
-            assert a == f == p.sigma(n)
+            assert a == f == float(p.values[n - 1])
 
 
 def test_linf_lp_brackets():
@@ -127,7 +127,7 @@ def test_linf_lp_brackets():
             bp = width(p, Embedding.A_TO_LP, kind, [n], p=4.0)[0]
             assert not binf.exact and not bp.exact
             assert binf.lower == bp.lower == l2
-            assert binf.upper == bp.upper == p.sigma(n)
+            assert binf.upper == bp.upper == float(p.values[n - 1])
             assert binf.lower <= binf.upper
             with pytest.raises(ValueError):
                 binf.value  # bracket has no single value
@@ -171,7 +171,7 @@ def test_cmix_values_d1():
     assert not b.exact
     l2 = width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, [2])[0].value
     assert b.lower == l2
-    np.testing.assert_allclose(b.upper, 2 ** 0.5 * p.sigma(2), rtol=1e-15)
+    np.testing.assert_allclose(b.upper, 2 ** 0.5 * p.values[1], rtol=1e-15)
 
 
 def _dispatch_prefixes():
