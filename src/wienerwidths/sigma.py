@@ -27,7 +27,10 @@ nondecreasing, so the first coordinate and, given the ones before it, each
 next one run over an interval whose ends are bisections (vectorized over
 the partial representatives).  Trial thresholds are picked by counting
 those intervals, without building the band, so each band holds a bounded
-number of orbits, and its transient arrays stay a few MB whatever N is.
+number of orbits: about 4,096, or as many as the rows of its widest layer,
+which the bisections run over anyway.  Its transient arrays stay small next
+to the prefix arrays (within about 1.5 MB of the heap walk's peak at the
+benchmark's sizes).
 The bracketing arithmetic only proposes candidates, with a slack; every
 order key and every printed value comes from ``weights.RepArrays``, bit for
 bit the scalar ``WeightSpec`` formulas, and a candidate near a band edge
@@ -86,9 +89,9 @@ _COUNT_LOG_TOL = 1e-12
 # Longest prefix a command may enumerate: 16 bytes per term, 480 MB.
 _PREFIX_CAP = 30_000_000
 
-# Orbits a band aims at (or more, as many as the partial representatives
-# of its last layer), and points written per fill step: the transient
-# arrays of a band stay within a few MB.
+# Orbits a band aims at (or more, as many as the rows of the widest layer
+# of the band before), and points written per fill step: they bound a
+# band's transient arrays.
 _BAND = 1 << 12
 _FILL = 1 << 13
 # Multiplicities saturate here, above any prefix length that fits in memory.
