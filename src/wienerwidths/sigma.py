@@ -20,8 +20,8 @@ cross by an ulp so the sequence stays exactly nonincreasing.
 
 ``sigma_prefix`` enumerates that order in threshold bands.  A band is the
 set of representatives whose log weight lies in (lo, hi]; the bands follow
-one another, so their concatenation, each sorted by ``np.lexsort`` on
-(key, representative), is the order above.  Within a band the
+one another, so their concatenation, each sorted stably by key from
+lexicographic order, is the order above.  Within a band the
 representatives are built a coordinate at a time: omega is coordinatewise
 nondecreasing, so the first coordinate and, given the ones before it, each
 next one run over an interval whose ends are bisections (vectorized over
@@ -30,13 +30,16 @@ those intervals, without building the band, so each band holds a bounded
 number of orbits: about 4,096, or as many as the rows of its widest layer,
 which the bisections run over anyway.  Its transient arrays stay small next
 to the prefix arrays (within about 1.5 MB of the heap walk's peak at the
-benchmark's sizes).
-The bracketing arithmetic only proposes candidates, with a slack; every
-order key and every printed value comes from ``weights.RepArrays``, bit for
-bit the scalar ``WeightSpec`` formulas, and a candidate near a band edge
-joins the band its exact key falls in.  Multiplicities, the clamp and the
-sigma^-2 blocks are arrays; only the Neumaier-compensated running sum steps
-orbit by orbit.
+benchmark's sizes).  In d = 1 a band is the next run of coordinates, in
+order, and no key is computed.
+The bracketing only proposes candidates: every bisection allows a slack
+that bounds the rounding of the key it reads, so it holds where a rounded
+key dips as a coordinate grows, and every representative with exact key in
+(lo, hi] is a candidate.  Every order key and every printed value comes
+from ``weights.RepArrays``, bit for bit the scalar ``WeightSpec`` formulas,
+and a candidate near a band edge joins the band its exact key falls in.
+Multiplicities, the clamp and the sigma^-2 blocks are arrays; only the
+Neumaier-compensated running sum steps orbit by orbit.
 
 ``iter_orbits`` is the reference for that order: a best-first walk over the
 tree of canonical representatives under the unique-parent rule "decrement
@@ -48,8 +51,13 @@ the rightmost nonzero coordinate", with a min-heap keyed by
     * turn the first zero position into a 1.
 
 Incrementing a coordinate never decreases the weight, so the heap pops in
-the same order, and no visited set is needed.  The tests compare the two
-bit for bit.
+the same order, and no visited set is needed.  That holds for the rounded
+keys too wherever they do not dip along a tree edge, and no family has
+shown such a dip, near-flat weights included; where a key did dip, the heap
+would pop the child right after its parent, while the bands would still
+put it at its own key.  In d = 1 the tree is a chain, and both give
+0, 1, 2, ... whatever the keys.  The tests compare the two bit for bit,
+near-flat weights included.
 
 ``sigma_bruteforce`` is the deliberately dumb cross-check: evaluate the whole
 box |k|_inf <= R with vectorized numpy arithmetic, partial-sort, and certify
@@ -206,7 +214,9 @@ def _last_at_most(key, ok, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _bisect(pred, lo: int, hi: int) -> int:
     """The largest a in [lo, hi] with pred(a), or lo - 1 where there is
-    none; pred must hold on an initial segment."""
+    none; pred must hold on an initial segment.  ``_last_at_most`` for the
+    one row of the first coordinate, where a scalar key costs a tenth of a
+    numpy step."""
     lo -= 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -226,7 +236,8 @@ def _expand(cols: list, L: np.ndarray, U: np.ndarray) -> list:
     return [np.repeat(c, counts) for c in cols] + [new]
 
 
-def _frame(arrays: RepArrays, lo: float, hi: float, axis: int, limit: int):
+def _frame(arrays: RepArrays, lo: float, hi: float, axis: int, limit,
+           a_max: int):
     """The candidates for the band (lo, hi], layer by layer, short of the
     last layer: (columns, L, U, rows of the widest layer), where the last
     coordinate of the partial representative in row i runs over
@@ -238,21 +249,33 @@ def _frame(arrays: RepArrays, lo: float, hi: float, axis: int, limit: int):
     completion, the rest zero, may weigh at most hi and its largest, every
     remaining coordinate a_j, may weigh more than lo; omega is
     coordinatewise nondecreasing, so both bounds are bisections.  The first
-    coordinate's bounds use the exact scalar key, searched from ``axis``,
-    which weighs at most lo; the others use the tables' bracketing keys,
-    whose slack keeps every representative with exact key in (lo, hi].
+    coordinate's bounds use the scalar key and the others the tables'
+    bracketing keys, each with its slack: a bound holds on a whole initial
+    segment even where the rounded key dips as a coordinate grows, so every
+    representative with exact key in (lo, hi] is a candidate.  The search
+    for the first coordinate starts at ``axis``, the first coordinate of an
+    earlier band's orbit, which weighs at most lo, and stops at ``a_max``,
+    past which no orbit of the prefix lies.
     """
     spec = arrays.spec
     d = spec.d
-    key = spec._log_evaluate_abs
     rest = [0] * (d - 1)
+
+    def at_most_hi(a: int) -> bool:
+        k, slack = arrays.scalar_key([a] + rest)
+        return k - slack <= hi
+
+    def at_most_lo(a: int) -> bool:
+        k, slack = arrays.scalar_key([a] * d)
+        return k + slack <= lo
+
     top = axis + 1
-    while key([top] + rest) <= hi:
+    while top <= a_max and at_most_hi(top):
         if top - axis > limit:
             return None
         top = axis + 2 * (top - axis)
-    U = _bisect(lambda a: key([a] + rest) <= hi, axis, top - 1)
-    L = 0 if lo == -math.inf else 1 + _bisect(lambda a: key([a] * d) <= lo, 0, U)
+    U = _bisect(at_most_hi, axis, min(top - 1, a_max))
+    L = 0 if lo == -math.inf else 1 + _bisect(at_most_lo, 0, U)
     L, U = np.array([L]), np.array([U])
     if d > 1:
         arrays.reserve(int(U[0]))
@@ -279,44 +302,64 @@ def _frame(arrays: RepArrays, lo: float, hi: float, axis: int, limit: int):
 
 
 def _pick_band(arrays: RepArrays, lo: float, step: float, target: int,
-               axis: int, rows: int):
+               axis: int, rows: int, a_max: int):
     """A threshold hi > lo whose band (lo, hi] holds about target to
     2 target orbits, by counting the candidates of trial thresholds; returns
     (hi, frame, step taken).  ``axis`` is the largest first coordinate of
     the earlier bands, and ``rows`` the widest layer of the band before.  A
     trial stops where the axis passes axis + limit, or a layer holds more
     than limit rows, limit 2 max(target, rows): no table or layer grows far
-    beyond the band and its partial representatives."""
+    beyond the band and its partial representatives.
+
+    The candidates of a thin band are its orbits plus a fringe within the
+    slack of lo and hi.  Where two trials put more than half of the count,
+    and at most limit candidates, in a part that does not shrink with the
+    step, the fringe or a tie class above lo dominates it; the search then
+    counts that many candidates more, so the band still gains about target
+    orbits instead of shrinking towards an ulp."""
     base = max(lo, 0.0)
     limit = 2 * max(target, rows) + 64
 
     def threshold(step: float) -> float:
         return min(max(base + step, math.nextafter(base, math.inf)), _FLOAT_MAX)
 
-    below = above = None  # (step, hi, frame) with too few / too many orbits
+    below = above = None  # (step, hi, frame, count) with too few / too many
+    spare = 0  # candidates that do not shrink with the step
     halvings = 0
     first = step
     for _ in range(64):
         hi = threshold(step)
-        frame = _frame(arrays, lo, hi, axis, limit)
+        frame = _frame(arrays, lo, hi, axis, limit + spare, a_max)
         if frame is None:
             count = None
         else:
             _, L, U, _ = frame
             count = int(np.maximum(U - L + 1, 0).sum())
-            if target <= count <= 2 * target:
-                return hi, frame, step
-        if count is None or count > 2 * target:
-            above = (step, hi, frame)
-        else:
-            below = (step, hi, frame)
+        if count is not None and not spare and above is not None \
+                and above[3] is not None and step < above[0]:
+            # count = orbits + fringe, the orbits proportional to the step
+            fringe = count - (above[3] - count) * step / (above[0] - step)
+            if 2 * fringe >= count and fringe <= limit:
+                spare = int(fringe)
+                if above[3] < target + spare:
+                    below, above = above, None
+        trial = (step, hi, frame, count)
+        if count is None or count > 2 * target + spare:
+            above = trial
+        elif count < target + spare:
+            if below is None or step > below[0]:
+                below = trial
             if hi == _FLOAT_MAX:
                 break
+        else:
+            return hi, frame, step
         # count is about proportional to step in a thin band
         if above is None:
-            step *= min(4.0, max(2.0, 1.5 * target / max(count, 1)))
+            grow = 1.5 * target / max(below[3] - spare, 1)
+            step = below[0] * min(4.0, max(2.0, grow))
         elif below is None:
-            step *= 0.5 if count is None else max(0.25, 1.5 * target / count)
+            shrink = 0.5 if count is None else 1.5 * target / (count - spare)
+            step *= max(0.25, shrink)
         else:
             # a dozen halvings that still straddle the range meet a tie
             # class, or a cluster the bracketing slack cannot split
@@ -325,15 +368,17 @@ def _pick_band(arrays: RepArrays, lo: float, step: float, target: int,
                 break
             halvings += 1
             step = mid
-    # a tie class, or the float range, ends the search; take the larger band
+    # a tie class, a cluster or the float range ends the search: take the
+    # smaller band where it holds target candidates, else the larger one
     # when it was counted
+    if below is not None and (below[3] >= target or above is None
+                              or above[2] is None):
+        return below[1], below[2], below[0]
     if above is not None and above[2] is not None:
         return above[1], above[2], above[0]
-    if below is not None:
-        return below[1], below[2], below[0]
     # every trial passed the limit; the first one goes ahead without it
     hi = threshold(first)
-    return hi, _frame(arrays, lo, hi, axis, math.inf), first
+    return hi, _frame(arrays, lo, hi, axis, math.inf, a_max), first
 
 
 def _band(arrays: RepArrays, lo: float, hi: float, frame) -> np.ndarray:
@@ -382,6 +427,9 @@ def sigma_prefix(spec: WeightSpec, n_max: int) -> SigmaPrefix:
     last = math.inf  # the last value written
     lo = -math.inf
     rows = 0  # partial representatives in the widest layer of the last band
+    # an orbit with first coordinate a follows its ancestors, the axis
+    # orbits 1..a-1 of two points or more each: a <= n_max / 2 + 1
+    a_max = n_max // 2 + 1
     with np.errstate(over="ignore", invalid="ignore"):
         while filled < n_max:
             # orbits still wanted, at the mean multiplicity so far
@@ -389,16 +437,25 @@ def sigma_prefix(spec: WeightSpec, n_max: int) -> SigmaPrefix:
             # the first band, of unknown multiplicity, stays small; a band
             # spans at least the rows its bisections run over
             target = min(max(_BAND, rows) if filled else 1024, int(1.1 * want) + 8)
-            hi, frame, step = _pick_band(arrays, lo, step, target, axis, rows)
-            rows = frame[3]
-            reps = _band(arrays, lo, hi, frame)
-            if not len(reps):
-                if hi == _FLOAT_MAX:
-                    # every further orbit has an infinite log weight
-                    raise CumSumOverflowError("cumsum overflow; reduce N or s")
+            if spec.d == 1:
+                # the tree is a chain: the heap pops 0, 1, 2, ... whatever
+                # the rounded keys do
+                reps = np.arange(orbits, orbits + target)[:, None]
+            else:
+                hi, frame, step = _pick_band(arrays, lo, step, target, axis,
+                                             rows, a_max)
+                rows = frame[3]
+                reps = _band(arrays, lo, hi, frame)
                 lo = hi
-                continue
-            axis = max(axis, int(reps[:, 0].max()))
+                if not len(reps):
+                    if hi == _FLOAT_MAX:
+                        # every further orbit has an infinite log weight
+                        raise CumSumOverflowError("cumsum overflow; reduce N or s")
+                    step *= 2.0
+                    continue
+                axis = max(axis, int(reps[:, 0].max()))
+                # aim the next band at 1.5 target from the density of this one
+                step *= min(4.0, max(0.25, 1.5 * target / len(reps)))
             takes = _multiplicities(reps)
             ends = np.cumsum(takes)
             if ends[-1] >= n_max - filled:
@@ -429,9 +486,6 @@ def sigma_prefix(spec: WeightSpec, n_max: int) -> SigmaPrefix:
             filled += int(ends[-1])
             orbits += len(reps)
             last = float(v[-1])
-            # aim the next band at 1.5 target from the density of this one
-            step *= min(4.0, max(0.25, 1.5 * target / len(reps)))
-            lo = hi
     return SigmaPrefix(spec, values, cum)
 
 

@@ -35,7 +35,6 @@ their width *asymptotics* are not covered by the supported constants.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -364,12 +363,7 @@ class RepArrays:
         if fam is Family.MIXED_INF:
             s = spec.s
             prod = np.maximum(reps, 1).prod(axis=1).tolist()
-            try:
-                out = np.fromiter(map(pow, map(float, prod), itertools.repeat(s)),
-                                  float, len(prod))
-            except OverflowError:
-                power = _or_nan(lambda p: float(p) ** s)
-                out = np.fromiter(map(power, prod), float, len(prod))
+            out = _map(lambda p: float(p) ** s, prod, len(prod))
         elif fam in (Family.ISOTROPIC_INF, Family.ISOTROPIC_SR):
             out = self._at("val", reps[:, 0])
             if spec.d > 1 and fam is Family.ISOTROPIC_SR:
@@ -387,6 +381,23 @@ class RepArrays:
         return out
 
     # -- bracketing ----------------------------------------------------------
+
+    def scalar_key(self, a: list[int]) -> tuple[float, float]:
+        """(log omega by the scalar formula, a slack of at least twice its
+        rounding error) at one representative.
+
+        The formula rounds a handful of libm calls and IEEE operations on
+        nonnegative terms, each within an ulp, so 2^-48 (32 ulps) of the
+        terms' magnitude bounds that error with room; for h1-ratio the
+        magnitude is both terms of its difference, k + log1p(|a|^2).  A
+        bound that allows the slack holds on a whole initial segment of a
+        coordinate even where the rounded key dips as the coordinate grows.
+        """
+        k = self.spec._log_evaluate_abs(a)
+        size = abs(k)
+        if self.spec.family is Family.H1_RATIO:
+            size += math.log1p(sum(v * v for v in a))
+        return k, 2.0**-48 * size + 1e-323
 
     def bracket(self, n: int) -> tuple:
         """The bracketing state of n empty partial representatives."""

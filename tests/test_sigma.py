@@ -144,6 +144,14 @@ def _clamps(spec, n_max):
     # nearly flat along the axes: the layer of first coordinates is wider
     # than the last layer, and bands must still be found
     (WeightSpec(Family.H1_RATIO, s=1.0987327173636765, d=3), 68_494),
+    # nearly flat: the rounded key plateaus or climbs about an ulp an orbit,
+    # and the bracketing slack spans hundreds of orbits
+    (WeightSpec(Family.H1_RATIO, s=1 + 1e-12, d=1), 10_000),
+    (WeightSpec(Family.H1_RATIO, s=1 + 1e-12, d=2), 10_000),
+    (WeightSpec(Family.H1_RATIO, s=1 + 1e-15, d=2), 10_000),
+    (WeightSpec(Family.MIXED_SR, s=1e-12, d=1, r=1e-12), 10_000),
+    (WeightSpec(Family.MIXED_SR, s=1e-12, d=2, r=1e-12), 10_000),
+    (WeightSpec(Family.ISOTROPIC_SR, s=1e-12, d=2, r=1e-12), 10_000),
 ])
 def test_prefix_bit_identical_fixed(spec, n_max):
     if spec.r == 2.0 and spec.s == 3.0:
@@ -251,8 +259,11 @@ def test_bruteforce_matches_fast_path_random(rng):
 
 
 def test_overflow_guard():
-    for s in (400.0, 500.0):
-        spec = WeightSpec(Family.MIXED_INF, s=s, d=1)
+    specs = [WeightSpec(Family.MIXED_INF, s=s, d=1) for s in (400.0, 500.0)]
+    # omega(e_1) = 2^(s/r) = 2^1e12: the keys climb by about log(k) / 2 on
+    # a base of 7e11
+    specs += [WeightSpec(Family.MIXED_SR, s=1.0, d=d, r=1e-12) for d in (1, 2)]
+    for spec in specs:
         for prefix in (sigma_prefix, heap_prefix):
             with pytest.raises(CumSumOverflowError):
                 prefix(spec, 20)
