@@ -236,12 +236,12 @@ def _expand(cols: list, L: np.ndarray, U: np.ndarray) -> list:
     return [np.repeat(c, counts) for c in cols] + [new]
 
 
-def _frame(arrays: RepArrays, lo: float, hi: float, axis: int, limit,
+def _frame(arrays: RepArrays, lo: float, hi: float, axis: int, limit: float,
            a_max: int):
-    """The candidates for the band (lo, hi], layer by layer, short of the
-    last layer: (columns, L, U, rows of the widest layer), where the last
-    coordinate of the partial representative in row i runs over
-    L[i]..U[i].  None when the first coordinate passes axis + limit (the
+    """The candidates for the band (lo, hi] in d >= 2, layer by layer,
+    short of the last layer: (columns, L, U, rows of the widest layer),
+    where the last coordinate of the partial representative in row i runs
+    over L[i]..U[i].  None when the first coordinate passes axis + limit (the
     axis points past ``axis`` are all candidates) or a layer holds more
     than ``limit`` rows.
 
@@ -277,15 +277,14 @@ def _frame(arrays: RepArrays, lo: float, hi: float, axis: int, limit,
     U = _bisect(at_most_hi, axis, min(top - 1, a_max))
     L = 0 if lo == -math.inf else 1 + _bisect(at_most_lo, 0, U)
     L, U = np.array([L]), np.array([U])
-    if d > 1:
-        arrays.reserve(int(U[0]))
+    arrays.reserve(int(U[0]))
     cols: list[np.ndarray] = []
     widest = 1
     for j in range(1, d):
-        cols = _expand(cols, L, U)
-        widest = max(widest, len(cols[0]))
+        widest = max(widest, int(np.maximum(U - L + 1, 0).sum()))
         if widest > limit:
             return None
+        cols = _expand(cols, L, U)
         state = arrays.bracket(len(cols[0]))
         for c in cols:
             state = arrays.push(state, c)
@@ -369,10 +368,11 @@ def _pick_band(arrays: RepArrays, lo: float, step: float, target: int,
             halvings += 1
             step = mid
     # a tie class, a cluster or the float range ends the search: take the
-    # smaller band where it holds target candidates, else the larger one
-    # when it was counted
-    if below is not None and (below[3] >= target or above is None
-                              or above[2] is None):
+    # band whose count misses the range by the smaller factor, the smaller
+    # one where the larger was not counted
+    if below is not None and (
+            above is None or above[2] is None
+            or below[3] * above[3] >= (target + spare) * (2 * target + spare)):
         return below[1], below[2], below[0]
     if above is not None and above[2] is not None:
         return above[1], above[2], above[0]
@@ -450,7 +450,8 @@ def sigma_prefix(spec: WeightSpec, n_max: int) -> SigmaPrefix:
                 if not len(reps):
                     if hi == _FLOAT_MAX:
                         # every further orbit has an infinite log weight
-                        raise CumSumOverflowError("cumsum overflow; reduce N or s")
+                        raise CumSumOverflowError(
+                            "cumsum overflow; reduce N or s")
                     step *= 2.0
                     continue
                 axis = max(axis, int(reps[:, 0].max()))
