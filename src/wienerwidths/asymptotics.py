@@ -113,8 +113,13 @@ def _formula(name: str, s: float | None, d: int | None, tol: float) -> float:
         return math.sqrt(2.0 * s + 1.0)
     if name == "preasymptotic":
         _need(d, "d", d is not None and d >= 3, "preasymptotic requires d >= 3")
-        lg = math.log2(d - 1)
-        return (1.0 + (1.0 + 2.0 / lg) / (d - 1)) ** (d - 1)
+        x = (1.0 + 2.0 / math.log2(d - 1)) / (d - 1)
+        # (1 + x)^(d-1) with the rounding error of 1 + x carried along: a
+        # plain power loses x entirely once it drops below half an ulp of 1
+        # (d from about 1e16 on); err is exact (Fast2Sum), as x < 2
+        base = 1.0 + x
+        err = x - (base - 1.0)
+        return base ** (d - 1) * math.exp((d - 1) * math.log1p(err / base))
     if name == "h1-constant":
         _need(d, "d", d is not None and d >= 1, "h1-constant requires d >= 1")
         _need(s, "s", s is not None and s > 1, "h1-constant requires s > 1")

@@ -111,9 +111,11 @@ def _parse_int_list(text: str, capped: str | None = None) -> Sequence[int]:
     """Grids: comma-separated integers, 'a..b' inclusive ranges, 1e6 forms.
 
     A single range stays a lazy ``range``, so an oversized n range reaches
-    the prefix cap check without first being expanded.  A grid whose rows
-    are all computed before the first byte (``capped`` names its option) is
-    refused above _GRID_CAP entries, counted from the range ends."""
+    the prefix cap check without first being expanded; an n grid of several
+    parts is refused above the prefix cap on its largest entry, taken from
+    the range ends, before it is expanded.  A grid whose rows are all
+    computed before the first byte (``capped`` names its option) is refused
+    above _GRID_CAP entries, counted from the range ends."""
     parts: list[Sequence[int]] = []
     for part in text.split(","):
         part = part.strip()
@@ -131,7 +133,11 @@ def _parse_int_list(text: str, capped: str | None = None) -> Sequence[int]:
             raise ResourceLimitError(
                 f"grid cap {_GRID_CAP} exceeded: {capped} has more entries"
             )
-    return parts[0] if len(parts) == 1 else [n for p in parts for n in p]
+    if len(parts) == 1:
+        return parts[0]
+    if capped is None:
+        _refuse_above_cap(max(_top(p) for p in parts if p))
+    return [n for p in parts for n in p]
 
 
 def _top(grid: Sequence[int]) -> int:

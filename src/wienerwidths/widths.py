@@ -51,17 +51,26 @@ instead of at n.  This skips no winner: if h' < h loses to h at some n
 both numerators drop by the same amount while S_{h'} < S_h; correctly
 rounded division keeps that order, so a skipped h' never exceeds the value.
 Up to 64 consecutive grid entries are evaluated at once, as one matrix over
-a window of 2048 values of h; each row keeps its running max and smallest
+a window of values of h; each row keeps its running max and smallest
 argmax, gets the same ceiling test at the window's end, and the leading
 certified rows are kept.  Entries past the first window's end are left out
-of the block, since they cannot certify in it.  A block whose first row
-does not certify (a single n far from its maximizer, flat stretches of the
-prefix) moves on to the next window, twice as wide (up to 2^20 values of h,
-as in ``sup_over_h``), with half its rows, so the matrix never holds more
-than 64 x 2048 floats until one row is left.  At the end of the prefix the
-pass raises ``sup_over_h``'s PrefixTooShortError.  The pass never calls
-``sup_over_h``, which stays as the independent per-n reference, and every
-value is the one ``sup_over_h(prefix, n)[0]`` returns, to the last bit.
+of the block, since they cannot certify in it.  The first block's window
+holds 2048 values of h.  Each later block's first window is sized from what
+the last block measured: twice its span, from its first h to one past its
+last certified maximizer (the certificate fires there on dense grids),
+clamped to [128, 2048].  On the benchmark's dense grids the span is 96 to
+174 values for 64 rows, so the pass divides about a tenth as often as with
+2048-wide windows; the lower clamp keeps a sparse grid's one-row blocks
+from shrinking to a few values each.  Where a window ends is no part of the
+certificate, so its size moves no value.  A block whose first row does not
+certify (a single n far from its maximizer, flat stretches of the prefix, a
+jump past the last block's span) moves on to the next window, twice as wide
+(up to 2^20 values of h, as in ``sup_over_h``), with half its rows, so the
+matrix never holds more than 64 x 2048 floats until one row is left.  At
+the end of the prefix the pass raises ``sup_over_h``'s PrefixTooShortError.
+The pass never calls ``sup_over_h``, which stays as the independent per-n
+reference, and every value is the one ``sup_over_h(prefix, n)[0]`` returns,
+to the last bit.
 """
 from __future__ import annotations
 
@@ -122,8 +131,10 @@ _SUP_EMBEDDINGS = (
 )
 
 
-# the grid pass evaluates up to _BLOCK_ROWS grid entries over a window of
-# _BLOCK_WIDTH values of h at once: one matrix of 64 x 2048 floats, 1 MB;
+# the grid pass evaluates up to _BLOCK_ROWS grid entries at once over a
+# window of at most _BLOCK_WIDTH values of h: one matrix of at most
+# 64 x 2048 floats, 1 MB; the first block's window is _BLOCK_WIDTH wide and
+# later ones twice the span the last block used, from 2 x _BLOCK_ROWS up;
 # a block that does not certify doubles its window up to _MAX_WIDTH, the
 # last chunk of sup_over_h, and halves its rows
 _BLOCK_ROWS = 64
@@ -343,10 +354,10 @@ def _sup_values(prefix: SigmaPrefix, ns: Sequence[int]) -> list[float]:
     order = sorted(set(ns))
     found: dict[int, float] = {}
     warm = 1  # maximizer of the last n answered
+    step = _BLOCK_WIDTH  # the first window; later ones follow the last block
     i = 0
     while i < len(order):
-        lo = max(order[i], warm)
-        step = _BLOCK_WIDTH
+        lo = start = max(order[i], warm)
         hi = min(lo + step - 1, N)
         # a row with n > hi has no h >= n in the first window and cannot
         # certify in it
@@ -390,6 +401,9 @@ def _sup_values(prefix: SigmaPrefix, ns: Sequence[int]) -> list[float]:
         found.update(zip(order[i : i + k], map(math.sqrt, best[:k].tolist())))
         warm = int(arg[k - 1])
         i += k
+        # twice the span this block used, from its first h to one past its
+        # last maximizer, where the certificate fires
+        step = min(max(2 * (warm + 2 - start), 2 * _BLOCK_ROWS), _BLOCK_WIDTH)
     return [found[n] for n in ns]
 
 

@@ -42,6 +42,24 @@ def test_preasymptotic_d4():
                                expect, rtol=1e-15)
 
 
+def test_preasymptotic_against_mpmath():
+    # C(d) at 200 bits, its power as exp((d-1) log1p(x)), so that 1 + x
+    # does not round to 1 there either; the plain float power returned 1
+    # from d = 1e16 on (the grid holds 10^16 exactly), where C(d) is 2.82
+    import mpmath
+
+    def exact(d):
+        d = mpmath.mpf(d)
+        x = (1 + 2 / mpmath.log(d - 1, 2)) / (d - 1)
+        return mpmath.exp((d - 1) * mpmath.log1p(x))
+
+    ds = [*range(3, 2001), *{int(10.0 ** (k / 8)) for k in range(28, 2401)}]
+    with mpmath.workprec(200):
+        for d in ds:
+            got = constant("preasymptotic", d=d)
+            assert abs(mpmath.mpf(got) / exact(d) - 1) < 5e-16, d
+
+
 def test_h1_constant_uses_series():
     S = series_S(2.0, 1e-10)
     np.testing.assert_allclose(constant("h1-constant", s=2.0, d=2),

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -263,6 +264,12 @@ def test_usage_errors_exit_2():
         assert out.stdout == ""
 
 
+def _limit_address_space():
+    # a grid expanded by mistake then fails within the limit instead of
+    # taking the machine's memory until the timeout
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
 def test_prefix_cap_refused_before_enumeration():
     weight = ["--family", "mixed-inf", "--s", "1", "--d", "2"]
     width_args = ["width", *weight, "--embedding", "a-to-l2",
@@ -281,10 +288,17 @@ def test_prefix_cap_refused_before_enumeration():
         ["converge", *weight, "--embedding", "a-to-l2",
          "--kind", "approximation", "--n-grid", "3..1e300",
          "--alpha", "1", "--beta", "1", "--target", "4"],
+        # a grid of several parts is refused on its largest entry, taken
+        # from the range ends, before it is expanded
+        [*width_args, "--n", "1..1e300,5"],
+        ["converge", *weight, "--embedding", "a-to-l2",
+         "--kind", "approximation", "--n-grid", "5,1..1e300",
+         "--alpha", "1", "--beta", "1", "--target", "4"],
     ]
     for argv in cases:
         start = time.monotonic()
-        out = run_cli(*argv)
+        out = subprocess.run(CLI + argv, capture_output=True, text=True,
+                             timeout=30, preexec_fn=_limit_address_space)
         assert out.returncode == 3, argv
         assert "prefix cap" in out.stderr
         assert out.stdout == ""

@@ -5,8 +5,9 @@ The grammar draws the options of all seven subcommands from edge values
 (0, negatives, nan, inf, 1e300, 1e-300, values beyond the float range,
 ``3/0``, empty and reversed grids), leaves options out or combines the ones
 that conflict, and keeps the sizes a valid command can ask for small:
-n <= 1e4, r <= 50, d <= 3, except the ranges up to 1e300 that the grid
-cap of count, appendix-verify and integral refuses.  Each call runs
+n <= 1e4, r <= 50, d <= 3, except the ranges up to 1e300, alone or in a
+grid of several parts, that the grid cap of count, appendix-verify and
+integral and the prefix cap of width and converge refuse.  Each call runs
 in-process under a 5 s alarm.
 The contract: the exit code is 0, 2 or 3; no exception escapes ``main``;
 stdout is empty unless the exit code is 0; and a table printed with exit 0
@@ -59,7 +60,7 @@ def _grid(entries, bounded=None, long=False):
     """One entry, a list, a range, a reversed range, or an empty grid;
     range ends come from ``bounded`` when given, so a range stays small.
     ``long`` adds ranges up to 1e300, alone or in a list, which the grid
-    cap refuses."""
+    cap or the prefix cap refuses."""
     ends = entries if bounded is None else bounded
     ends = st.tuples(ends, ends)
     lists = st.tuples(entries, entries).map(",".join)
@@ -111,13 +112,13 @@ def _argv(draw):
     elif command == "width":
         weight()
         width_kind()
-        option("--n", _grid(_N), True)
+        option("--n", _grid(_N, long=True), True)
         option("--p", _REALS)
         option("--prefix-n", _N)
     elif command == "converge":
         weight()
         width_kind()
-        option("--n-grid", _grid(_N, _N_BOUNDED), True)
+        option("--n-grid", _grid(_N, _N_BOUNDED, long=True), True)
         for name in ("--alpha", "--beta", "--target"):
             option(name, _REALS, True)
         option("--prefix-n", _N)

@@ -141,11 +141,19 @@ def test_width_chain_and_brackets(family, data, n):
 
 @st.composite
 def grids(draw, n_max):
-    """Dense 1..m, sparse, unsorted with repeats, or a range that crosses
-    the grid pass's 64-row blocks and the end of its 2048-wide window."""
-    shape = draw(st.sampled_from(["dense", "sparse", "unsorted", "range"]))
+    """Dense 1..m, sparse, unsorted with repeats, a range that crosses the
+    grid pass's 64-row blocks and the ends of its windows, or a jump: a
+    dense run and then a range far beyond it, where a window sized from
+    the run's last block falls short and doubles."""
+    shape = draw(st.sampled_from(["dense", "sparse", "unsorted", "range",
+                                  "jump"]))
     if shape == "dense":
         return list(range(1, draw(st.integers(1, min(n_max, 1500))) + 1))
+    if shape == "jump":
+        run = draw(st.integers(1, min(n_max, 300)))
+        lo = draw(st.integers(min(n_max, 8 * run), n_max))
+        length = draw(st.integers(1, 100))
+        return [*range(1, run + 1), *range(lo, min(lo + length, n_max + 1))]
     if shape == "range":
         lo = draw(st.integers(1, n_max))
         length = draw(st.integers(1, 300))

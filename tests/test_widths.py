@@ -239,6 +239,35 @@ def test_grid_pass_never_calls_per_n_scan(monkeypatch):
     )
 
 
+def test_grid_pass_windows_follow_the_last_block(monkeypatch):
+    # every matrix of the grid pass, through a proxy for the module's numpy
+    # whose subtract notes its output shape: after the first block each
+    # window starts at twice the span the last block used, so a dense grid
+    # builds about a tenth of the cells that 2048-wide windows did (94
+    # blocks of 64 x 2048, 12.3M cells, on this grid), and no matrix
+    # exceeds 64 x 2048 cells
+    shapes = []
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def subtract(self, *args, **kwargs):
+            out = np.subtract(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+    p = sigma_prefix(WeightSpec(Family.MIXED_INF, s=1.0, d=1), 24000)
+    grid = list(range(1, 6001))
+    expected = [sup_over_h(p, n)[0] for n in grid]
+    monkeypatch.setattr(widths_mod, "np", Recording())
+    got = width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, grid)
+    assert [w.value for w in got] == expected
+    cells = [rows * cols for rows, cols in shapes]
+    assert max(cells) <= 64 * 2048
+    assert sum(cells) < 3_000_000, (len(cells), sum(cells))
+
+
 def test_grid_pass_on_flat_prefix():
     # the prefix of test_sup_over_h_constant_prefix: n = 1 certifies, n = 7
     # never does, through the grid pass as through sup_over_h
