@@ -1,7 +1,9 @@
 """Command-line interface: batch tables for every library operation.
 
-Each subcommand returns its (columns, rows) table and ``main`` writes it,
-as CSV or (``--format json``) as one JSON object.  The columns are:
+Each subcommand returns its (columns, blocks) table and ``main`` writes it,
+as CSV or (``--format json``) as one JSON object.  A block holds one
+sequence per column (a list, a ``range`` or a numpy slice) of at most
+8,192 rows.  The columns are:
 
     sigma            n, sigma, cum_inv_sq [, sigma_oracle]
     width            n, lower, upper, exact
@@ -11,17 +13,20 @@ as CSV or (``--format json``) as one JSON object.  The columns are:
     appendix-verify  section, r, ell, j, r_ell, count, ratio, target, ok
     integral         n, value, limit, abs_dev
 
-One writer prints every table.  Each column has a kind (int, float, bool,
-or a mixed cell for the small tables), and the kinds give one printf row
-format per output format, so a block of rows prints with one ``%``.  The
-cell rules: CSV writes None as empty, bools as true/false, floats with 17
-significant digits and '.' decimal separator; JSON writes null, true/false
-and ``repr`` floats, and a JSON table is ``json.dumps(payload, indent=2)``
-plus a newline.  Output is byte-identical across runs.  Rows stream out a
-block at a time (``sigma`` converts its prefix arrays block by block), so
-peak memory is the prefix, 16 bytes per row, plus one block; rows that can
-fail are all computed before the first byte.  Integers may be spelled
-1.5e5.  Progress notes go to stderr.
+One writer prints every table.  Each column has a kind (int, float, a
+float that repeats in runs, bool, or a mixed cell for the small tables),
+and the kinds give one printf row format per output format, so a block
+prints with one ``%``.  A float column of runs, such as sigma, which is
+equal across an orbit, formats each run of bit-identical values once and
+repeats the text.  The cell rules: CSV writes None as empty, bools as
+true/false, floats with 17 significant digits and '.' decimal separator;
+JSON writes null, true/false and ``repr`` floats, and a JSON table is
+``json.dumps(payload, indent=2)`` plus a newline.  Output is
+byte-identical across runs.  Tables stream out a block at a time
+(``sigma`` hands over slices of its prefix arrays, the small tables are
+transposed a block at a time), so peak memory is the prefix, 16 bytes per
+row, plus one block; rows that can fail are all computed before the first
+byte.  Integers may be spelled 1.5e5.  Progress notes go to stderr.
 Prefix lengths above 30,000,000 are refused before any enumeration, and
 so are grids of count, appendix-verify and integral longer than 100,000.
 Exit codes: 0 success, 1 stdout closed early (broken pipe), 2 domain/usage
@@ -30,13 +35,14 @@ error or an --output path that cannot be opened, 3 resource cap.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .asymptotics import (
     CONSTANT_NAMES,
@@ -81,7 +87,8 @@ _BLOCK = 8_192  # rows per output block
 _GRID_CAP = 100_000
 
 Columns = Sequence[tuple[str, "_Kind"]]  # (name, kind) per column
-Table = tuple[Columns, Iterable[Sequence]]
+# (columns, blocks): a block holds one sequence per column, at most _BLOCK rows
+Table = tuple[Columns, Iterable[Sequence[Sequence]]]
 
 
 # -- parsing helpers ---------------------------------------------------------
@@ -191,14 +198,42 @@ def _csv_cell(x) -> str:
     return text
 
 
+def _listed(col: Sequence) -> Sequence:
+    """A column block as Python scalars: a numpy slice becomes a list."""
+    return col.tolist() if isinstance(col, np.ndarray) else col
+
+
+def _each(convert: Callable) -> Callable[[Sequence], list]:
+    """The column conversion that converts every cell."""
+    return lambda col: list(map(convert, col))
+
+
+def _by_runs(spec: str) -> Callable[[Sequence], list]:
+    """The column conversion that formats each run of bit-identical floats
+    once, with ``spec``, and repeats the text along the run.  Runs are
+    found on the bits, so 0.0 and -0.0, which print differently, never
+    merge."""
+
+    def convert(col: Sequence) -> list:
+        col = np.asarray(col, dtype=np.float64)
+        bits = col.view(np.uint64)
+        new = np.ones(len(col), dtype=bool)
+        np.not_equal(bits[1:], bits[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        texts = np.array([spec % x for x in col[starts].tolist()], dtype=object)
+        return np.repeat(texts, np.diff(starts, append=len(col))).tolist()
+
+    return convert
+
+
 class _Kind(NamedTuple):
-    """How a column prints: one printf spec per format, applied after an
-    optional conversion of the cell."""
+    """How a column prints: one printf spec per format, applied to the cells
+    that the format's conversion makes of a column block."""
 
     csv: str
     json: str
-    to_csv: Callable | None = None
-    to_json: Callable | None = None
+    to_csv: Callable[[Sequence], Sequence] = _listed
+    to_json: Callable[[Sequence], Sequence] = _listed
 
 
 _TRUE_FALSE = {True: "true", False: "false"}.__getitem__
@@ -206,20 +241,31 @@ _INT = _Kind("%d", "%d")
 # finite floats only: %r prints inf and nan where json.dumps prints
 # Infinity and NaN
 _FLOAT = _Kind("%.17g", "%r")
-_BOOL = _Kind("%s", "%s", _TRUE_FALSE, _TRUE_FALSE)
+# finite floats that repeat along runs, as sigma does across an orbit and
+# across orbits of equal weight; printed by the _FLOAT specs
+_FLOAT_RUNS = _Kind("%s", "%s", _by_runs("%.17g"), _by_runs("%r"))
+_BOOL = _Kind("%s", "%s", _each(_TRUE_FALSE), _each(_TRUE_FALSE))
 # anything else: None, strings, bools, ints and floats mixed in one column
-_CELL = _Kind("%s", "%s", _csv_cell, json.dumps)
+_CELL = _Kind("%s", "%s", _each(_csv_cell), _each(json.dumps))
+
+
+def _column_blocks(rows: Sequence[Sequence]) -> Iterator[list[Sequence]]:
+    """A table held as rows, as column blocks of at most ``_BLOCK`` rows."""
+    for lo in range(0, len(rows), _BLOCK):
+        yield list(zip(*rows[lo:lo + _BLOCK]))
 
 
 def _emit(
-    args: argparse.Namespace, columns: Columns, rows: Iterable[Sequence]
+    args: argparse.Namespace, columns: Columns, blocks: Iterable[Sequence[Sequence]]
 ) -> None:
     """Write the table to --output or the current stdout, a block at a time.
 
-    A row prints through one printf format built from the column kinds, so
-    a block of ``_BLOCK`` rows is one ``%`` of that format, repeated, over
-    the block's cells.  A JSON row carries the ``indent=2`` layout and its
-    leading ",", which the first row drops, so a JSON table is
+    A block is one sequence per column, of equal lengths, at most
+    ``_BLOCK`` rows.  Each column's conversion turns it into cells, which
+    fill every len(columns)-th slot of the block's cell list, and the block
+    prints as one ``%`` of the row format, built from the column kinds and
+    repeated once per row.  A JSON row carries the ``indent=2`` layout and
+    its leading ",", which the first row drops, so a JSON table is
     ``json.dumps(payload, indent=2) + "\\n"`` byte for byte."""
     names = [name for name, _ in columns]
     kinds = [kind for _, kind in columns]
@@ -233,17 +279,17 @@ def _emit(
         specs = ",\n      ".join(k.json for k in kinds)
         fmt = ",\n    [\n      " + specs + "\n    ]"
         convert = [k.to_json for k in kinds]
-    rows = iter(rows)
-    if any(convert):
-        rows = ([x if f is None else f(x) for f, x in zip(convert, row)]
-                for row in rows)
+    ncol = len(kinds)
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
         out.write(head)
         skip = 0 if args.format == "csv" else 1
-        while cells := tuple(itertools.chain.from_iterable(
-                itertools.islice(rows, _BLOCK))):
-            out.write(((fmt * (len(cells) // len(kinds))) % cells)[skip:])
+        for block in blocks:
+            nrow = len(block[0])
+            cells = [None] * (nrow * ncol)
+            for j, (f, col) in enumerate(zip(convert, block)):
+                cells[j::ncol] = f(col)
+            out.write(((fmt * nrow) % tuple(cells))[skip:])
             skip = 0
         if args.format == "json":
             out.write("]\n}\n" if skip else "\n  ]\n}\n")  # '[]' when empty
@@ -296,17 +342,18 @@ def _cmd_sigma(args: argparse.Namespace) -> Table:
     if n_max < 1:
         raise ValueError("--n must be >= 1")
     prefix = _prefix(spec, n_max)
-    columns = [("n", _INT), ("sigma", _FLOAT), ("cum_inv_sq", _FLOAT)]
+    # cum_inv_sq rises at every row, so it has no runs to print once
+    columns = [("n", _INT), ("sigma", _FLOAT_RUNS), ("cum_inv_sq", _FLOAT)]
     arrays = [prefix.values, prefix.cum_inv_sq]
     if args.check_box_radius is not None:
         arrays.append(sigma_bruteforce(spec, n_max, args.check_box_radius).values)
-        columns.append(("sigma_oracle", _FLOAT))
+        columns.append(("sigma_oracle", _FLOAT_RUNS))
     blocks = (
-        zip(range(lo + 1, min(lo + _BLOCK, n_max) + 1),
-            *(a[lo:lo + _BLOCK].tolist() for a in arrays))
+        [range(lo + 1, min(lo + _BLOCK, n_max) + 1),
+         *(a[lo:lo + _BLOCK] for a in arrays)]
         for lo in range(0, n_max, _BLOCK)
     )
-    return columns, itertools.chain.from_iterable(blocks)
+    return columns, blocks
 
 
 def _cmd_width(args: argparse.Namespace) -> Table:
@@ -324,7 +371,8 @@ def _cmd_width(args: argparse.Namespace) -> Table:
     check_width(spec, embedding, kind, ns, args.p)
     refuse_flat(spec, embedding, kind, n_hi)
     rows = _prefix_with_retry(spec, n, compute)
-    return [("n", _INT), ("lower", _FLOAT), ("upper", _FLOAT), ("exact", _BOOL)], rows
+    columns = [("n", _INT), ("lower", _FLOAT), ("upper", _FLOAT), ("exact", _BOOL)]
+    return columns, _column_blocks(rows)
 
 
 def _cmd_converge(args: argparse.Namespace) -> Table:
@@ -350,13 +398,13 @@ def _cmd_converge(args: argparse.Namespace) -> Table:
     rows = _prefix_with_retry(spec, n, compute)
     columns = [("n", _INT), ("raw", _FLOAT), ("normalizer", _FLOAT),
                ("ratio", _FLOAT), ("target", _FLOAT)]
-    return columns, rows
+    return columns, _column_blocks(rows)
 
 
 def _cmd_constants(args: argparse.Namespace) -> Table:
     s = None if args.s is None else float(_parse_s(args.s))
     value = constant(args.name, s=s, d=args.d, tol=args.tol)
-    return [("name", _CELL), ("value", _FLOAT)], [[args.name, value]]
+    return [("name", _CELL), ("value", _FLOAT)], _column_blocks([[args.name, value]])
 
 
 def _cmd_count(args: argparse.Namespace) -> Table:
@@ -385,7 +433,7 @@ def _cmd_count(args: argparse.Namespace) -> Table:
     rows = [row(r) for r in _parse_int_list(args.r_grid, "--r-grid")]
     columns = [("kind", _CELL), ("s", _CELL), ("r", _INT), ("dim", _INT),
                ("j", _CELL), ("r_ell", _CELL), ("count", _INT)]
-    return columns, rows
+    return columns, _column_blocks(rows)
 
 
 def _cmd_appendix_verify(args: argparse.Namespace) -> Table:
@@ -400,7 +448,8 @@ def _cmd_appendix_verify(args: argparse.Namespace) -> Table:
     # a-split rows print ratio and target 0, an int, so those columns are
     # mixed
     names = ("section", "r", "ell", "j", "r_ell", "count", "ratio", "target", "ok")
-    return [(name, _INT if name == "r" else _CELL) for name in names], rows
+    columns = [(name, _INT if name == "r" else _CELL) for name in names]
+    return columns, _column_blocks(rows)
 
 
 def _cmd_integral(args: argparse.Namespace) -> Table:
@@ -412,7 +461,7 @@ def _cmd_integral(args: argparse.Namespace) -> Table:
     rows = [[n, val, limit, abs(val - limit)] for n, val in values]
     # quadrature values are not known finite, so they print as cells
     columns = [("n", _INT), ("value", _CELL), ("limit", _CELL), ("abs_dev", _CELL)]
-    return columns, rows
+    return columns, _column_blocks(rows)
 
 
 _DISPATCH = {

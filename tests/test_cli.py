@@ -3,12 +3,15 @@ import contextlib
 import csv
 import io
 import json
+import math
+import operator
 import os
 import resource
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -477,12 +480,19 @@ def _reference(command, fmt, columns, rows):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _written(command, fmt, columns, rows):
+def _written(command, fmt, columns, blocks):
     args = argparse.Namespace(command=command, format=fmt, output=None)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        cli._emit(args, columns, rows)
+        cli._emit(args, columns, blocks)
     return buf.getvalue()
+
+
+def _rows(blocks):
+    """The rows of a table's column blocks, numpy cells as Python scalars."""
+    return [row for block in blocks
+            for row in zip(*(col.tolist() if isinstance(col, np.ndarray)
+                             else col for col in block))]
 
 
 _MIXED_INF = ["--family", "mixed-inf", "--s", "1", "--d", "2"]
@@ -518,19 +528,22 @@ _WRITER_TABLES = [
                          ids=lambda a: "-".join([a[0], *a[-2:]]))
 def test_writer_matches_reference(argv, fmt):
     args = cli._build_parser().parse_args([*argv, "--format", fmt])
-    columns, rows = cli._DISPATCH[args.command](args)
-    rows = list(rows)
+    columns, blocks = cli._DISPATCH[args.command](args)
+    blocks = list(blocks)
+    rows = _rows(blocks)
     assert rows
     expected = _reference(args.command, fmt, columns, rows)
-    assert _written(args.command, fmt, columns, rows) == expected
+    assert _written(args.command, fmt, columns, blocks) == expected
     # an empty table is the header alone, or a JSON "rows": []
     empty = _written(args.command, fmt, columns, [])
     assert empty == _reference(args.command, fmt, columns, [])
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _KIND_VALUES = {
     cli._INT: st.integers(),
-    cli._FLOAT: st.floats(allow_nan=False, allow_infinity=False),
+    cli._FLOAT: _FINITE,
+    cli._FLOAT_RUNS: st.sampled_from([0.0, 1.0]) | _FINITE,
     cli._BOOL: st.booleans(),
     # the writer quotes as csv.writer does on Python 3.10 and 3.11, which
     # leave "\r" unquoted under a "\n" line end; text with "\r" is not
@@ -540,24 +553,45 @@ _KIND_VALUES = {
 }
 
 
+# A run of _FLOAT_RUNS may take its value from the run before it: negated
+# (0.0 then -0.0) or one ulp away, which compare equal or close but print
+# apart
+_STEPS = [None, operator.neg, lambda x: math.nextafter(x, math.inf),
+          lambda x: math.nextafter(x, -math.inf)]
+
+
 @st.composite
 def _tables(draw):
+    """Columns, their rows, and the same table cut into column blocks of a
+    drawn size, so that runs of equal cells cross block ends."""
     # every table has at least two columns (csv.writer quotes a lone empty
     # field)
     kinds = draw(st.lists(st.sampled_from(list(_KIND_VALUES)), min_size=2,
                           max_size=5))
     columns = [(f"c{i}", kind) for i, kind in enumerate(kinds)]
-    rows = draw(st.lists(st.tuples(*(_KIND_VALUES[k] for k in kinds)),
-                         max_size=4))
-    return columns, rows
+    n = draw(st.integers(0, 12))
+    cols = []
+    for kind in kinds:
+        values = draw(st.lists(_KIND_VALUES[kind], min_size=n, max_size=n))
+        if kind is cli._FLOAT_RUNS:
+            steps = draw(st.lists(st.sampled_from(_STEPS), min_size=n,
+                                  max_size=n))
+            for i in range(1, n):
+                if steps[i] is not None:
+                    values[i] = steps[i](values[i - 1])
+        lengths = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        cols.append([x for x, k in zip(values, lengths) for _ in range(k)][:n])
+    size = draw(st.integers(1, max(n, 1)))
+    blocks = [[col[lo:lo + size] for col in cols] for lo in range(0, n, size)]
+    return columns, list(zip(*cols)), blocks
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(_tables(), st.sampled_from(["csv", "json"]))
 def test_writer_cell_rules(table, fmt):
-    columns, rows = table
-    assert _written("t", fmt, columns, rows) == _reference("t", fmt, columns,
-                                                           rows)
+    columns, rows, blocks = table
+    assert _written("t", fmt, columns, blocks) == _reference("t", fmt, columns,
+                                                             rows)
 
 
 def test_failing_row_writes_nothing():
