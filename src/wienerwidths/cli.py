@@ -27,6 +27,8 @@ byte-identical across runs.  Tables stream out a block at a time
 transposed a block at a time), so peak memory is the prefix, 16 bytes per
 row, plus one block; rows that can fail are all computed before the first
 byte.  Integers may be spelled 1.5e5.  Progress notes go to stderr.
+A width or converge grid enumerates its largest n (or --prefix-n, where
+larger), and a sup width takes more terms as its certificate needs them.
 Prefix lengths above 30,000,000 are refused before any enumeration, and
 so are grids of count, appendix-verify and integral longer than 100,000.
 Exit codes: 0 success, 1 stdout closed early (broken pipe), 2 domain/usage
@@ -60,7 +62,6 @@ from .lattice_count import (
     verify_appendix_limits,
 )
 from .sigma import (
-    _PREFIX_CAP,
     ResourceLimitError,
     SigmaPrefix,
     _refuse_above_cap,
@@ -70,10 +71,8 @@ from .sigma import (
 from .weights import Family, WeightSpec
 from .widths import (
     Embedding,
-    PrefixTooShortError,
     WidthKind,
     check_width,
-    needs_sup,
     refuse_flat,
     width,
 )
@@ -309,30 +308,6 @@ def _prefix(spec: WeightSpec, n: int) -> SigmaPrefix:
     return sigma_prefix(spec, n)
 
 
-def _start_size(n_hi: int, sup: bool, prefix_n: int | None) -> int:
-    """The first prefix length to enumerate, refused above the prefix cap;
-    it comes from --prefix-n when given."""
-    if prefix_n is not None:
-        n = max(prefix_n, n_hi)
-    elif sup:
-        n = max(n_hi, min(max(64, 4 * n_hi), _PREFIX_CAP))
-    else:
-        n = n_hi
-    _refuse_above_cap(n)
-    return n
-
-
-def _prefix_with_retry(spec: WeightSpec, n: int, compute):
-    """Run `compute(prefix)` from a prefix of n terms, growing the prefix
-    until the sup certificate fits."""
-    while True:
-        prefix = _prefix(spec, n)
-        try:
-            return compute(prefix)
-        except PrefixTooShortError as exc:
-            n = max(2 * n, exc.required)
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -361,16 +336,13 @@ def _cmd_width(args: argparse.Namespace) -> Table:
     embedding = Embedding(args.embedding)
     kind = WidthKind(args.kind)
     ns = _parse_int_list(args.n)
-
-    def compute(prefix):
-        values = width(prefix, embedding, kind, ns, p=args.p)
-        return [[n, wv.lower, wv.upper, wv.exact] for n, wv in zip(ns, values)]
-
     n_hi = _top(ns)
-    n = _start_size(n_hi, needs_sup(embedding, kind), args.prefix_n)
+    n = max(n_hi, args.prefix_n or 0)
+    _refuse_above_cap(n)
     check_width(spec, embedding, kind, ns, args.p)
     refuse_flat(spec, embedding, kind, n_hi)
-    rows = _prefix_with_retry(spec, n, compute)
+    values = width(_prefix(spec, n), embedding, kind, ns, p=args.p)
+    rows = [[n, wv.lower, wv.upper, wv.exact] for n, wv in zip(ns, values)]
     columns = [("n", _INT), ("lower", _FLOAT), ("upper", _FLOAT), ("exact", _BOOL)]
     return columns, _column_blocks(rows)
 
@@ -382,20 +354,17 @@ def _cmd_converge(args: argparse.Namespace) -> Table:
     grid = _parse_int_list(args.n_grid)
     # the cap refusal comes first, as when it came with the enumeration
     n_hi = _top(grid)
-    n = _start_size(n_hi, needs_sup(embedding, kind), args.prefix_n)
+    n = max(n_hi, args.prefix_n or 0)
+    _refuse_above_cap(n)
     check_convergence(embedding, kind, grid, args.alpha, args.beta)
     if not math.isfinite(args.target):
         raise ValueError(f"--target must be finite, got {args.target!r}")
     check_width(spec, embedding, kind, grid)
     refuse_flat(spec, embedding, kind, n_hi)
-
-    def compute(prefix):
-        table = convergence_table(
-            prefix, embedding, kind, grid, args.alpha, args.beta
-        )
-        return [[*row, args.target] for row in table]
-
-    rows = _prefix_with_retry(spec, n, compute)
+    table = convergence_table(
+        _prefix(spec, n), embedding, kind, grid, args.alpha, args.beta
+    )
+    rows = [[*row, args.target] for row in table]
     columns = [("n", _INT), ("raw", _FLOAT), ("normalizer", _FLOAT),
                ("ratio", _FLOAT), ("target", _FLOAT)]
     return columns, _column_blocks(rows)
@@ -514,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=[k.value for k in WidthKind])
     p.add_argument("--n", required=True, help="single n, list, or a..b")
     p.add_argument("--p", type=float, help="target exponent for a-to-lp")
-    p.add_argument("--prefix-n", type=_parse_int, help="override prefix length")
+    p.add_argument("--prefix-n", type=_parse_int, help="least length to enumerate")
     common(p)
 
     p = sub.add_parser("converge", help="normalized width ratios on an n grid")
@@ -527,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--target", type=float, required=True)
-    p.add_argument("--prefix-n", type=_parse_int, help="override prefix length")
+    p.add_argument("--prefix-n", type=_parse_int, help="least length to enumerate")
     common(p)
 
     p = sub.add_parser("constants", help="print a named constant")

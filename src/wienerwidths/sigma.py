@@ -31,7 +31,9 @@ number of orbits: about 4,096, or as many as the rows of its widest layer,
 which the bisections run over anyway.  Its transient arrays stay small next
 to the prefix arrays (within about 1.5 MB of the heap walk's peak at the
 benchmark's sizes).  In d = 1 a band is the next run of coordinates, in
-order, and no key is computed.
+order, and no key is computed.  The walk keeps its state between bands, so
+a prefix takes its next terms (``SigmaPrefix.resume``) without enumerating
+its head again.
 The bracketing only proposes candidates: every bisection allows a slack
 that bounds the rounding of the key it reads, so it holds where a rounded
 key dips as a coordinate grows, and every representative with exact key in
@@ -67,6 +69,7 @@ the best shell value strictly, no outside point can intrude into the top N).
 """
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 import sys
@@ -166,12 +169,14 @@ class SigmaPrefix:
 
     ``values`` is nonincreasing; ``cum_inv_sq[i] = sum_{k<=i+1} values[k-1]^-2``
     is strictly increasing and accumulated with compensated summation.  Both
-    arrays are frozen (non-writeable views).
+    arrays are frozen (non-writeable views).  A prefix from ``sigma_prefix``
+    keeps the band walk where it stopped; one built from arrays has none.
     """
 
     spec: WeightSpec
     values: np.ndarray = field(repr=False)
     cum_inv_sq: np.ndarray = field(repr=False)
+    _walk: _Walk | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.values.setflags(write=False)
@@ -180,6 +185,11 @@ class SigmaPrefix:
     @property
     def n_max(self) -> int:
         return len(self.values)
+
+    def resume(self) -> _Walk | None:
+        """A copy of the walk, to ``take`` the terms after this prefix; None
+        for a prefix built from arrays."""
+        return copy.copy(self._walk)
 
 
 def _multiplicities(reps: np.ndarray) -> np.ndarray:
@@ -393,16 +403,108 @@ def _band(arrays: RepArrays, lo: float, hi: float, frame) -> np.ndarray:
     return reps[np.argsort(keys, kind="stable")]
 
 
-def _fill(values, cum, at, v, base, inv_sq, takes, ends) -> None:
-    """Write the band's points from position ``at``: orbit i fills
-    ends[i] - takes[i] .. ends[i] - 1 with sigma v[i] and cumulative sums
-    base[i] + inv_sq[i] * j, j = 1..takes[i], a block of points at a time."""
-    for p0 in range(0, int(ends[-1]), _FILL):
-        p = np.arange(p0, min(p0 + _FILL, int(ends[-1])))
+def _fill(values, cum, at, v, base, inv_sq, takes, ends, p0, p1) -> None:
+    """Write the band's points p0 .. p1 - 1 to positions at + p0 ..: orbit
+    i has points ends[i] - takes[i] .. ends[i] - 1, with sigma v[i] and
+    sums base[i] + inv_sq[i] * j, j = 1..takes[i]; a block at a time."""
+    for q in range(p0, p1, _FILL):
+        p = np.arange(q, min(q + _FILL, p1))
         i = np.searchsorted(ends, p, side="right")
         j = p - (ends[i] - takes[i]) + 1
-        values[at + p0 : at + p0 + len(p)] = v[i]
-        cum[at + p0 : at + p0 + len(p)] = base[i] + inv_sq[i] * j
+        values[at + q : at + q + len(p)] = v[i]
+        cum[at + q : at + q + len(p)] = base[i] + inv_sq[i] * j
+
+
+class _Walk:
+    """The band walk of ``sigma_prefix`` where it stopped: the state before
+    the band it stopped in, and the points of that band it wrote (``used``).
+    ``take`` goes on from there: whatever its bound, the next band from that
+    state begins with those points, so it writes after them."""
+
+    def __init__(self, spec: WeightSpec) -> None:
+        self.arrays = RepArrays(spec)
+        # the first trial threshold: the axis point 2
+        self.step = max(spec._log_evaluate_abs([2] + [0] * (spec.d - 1)), 5e-324)
+        self.filled = self.orbits = self.axis = self.used = 0
+        self.total = self.comp = 0.0  # Neumaier-compensated sum of sigma^-2
+        self.last = math.inf  # the last value written
+        self.lo = -math.inf
+        self.rows = 0  # partial representatives in the widest layer of the last band
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def take(self, values: np.ndarray, cum: np.ndarray, at: int, k: int) -> None:
+        """Write the next k values and cumulative sums from position ``at``.
+        Raises CumSumOverflowError when sigma^-2 or its running sum leaves
+        the double range by the last of them."""
+        arrays, d = self.arrays, self.arrays.spec.d
+        goal = self.filled + k
+        # an orbit with first coordinate a follows its ancestors, the axis
+        # orbits 1..a-1 of two points or more each: a <= goal / 2 + 1
+        a_max = goal // 2 + 1
+        while self.filled < goal:
+            # orbits still wanted, at the mean multiplicity so far
+            want = (goal - self.filled) * self.orbits / max(self.filled, 1) or goal
+            # the first band, of unknown multiplicity, stays small; a band
+            # spans at least the rows its bisections run over
+            target = min(max(_BAND, self.rows) if self.filled else 1024,
+                         int(1.1 * want) + 8)
+            hi = self.lo
+            if d == 1:
+                # the tree is a chain: the heap pops 0, 1, 2, ... whatever
+                # the rounded keys do
+                reps = np.arange(self.orbits, self.orbits + target)[:, None]
+            else:
+                hi, frame, self.step = _pick_band(arrays, self.lo, self.step, target,
+                                                  self.axis, self.rows, a_max)
+                self.rows = frame[3]
+                reps = _band(arrays, self.lo, hi, frame)
+                if not len(reps):
+                    if hi == _FLOAT_MAX:
+                        # every further orbit has an infinite log weight
+                        raise CumSumOverflowError("cumsum overflow; reduce N or s")
+                    self.lo = hi
+                    self.step *= 2.0
+                    continue
+                # aim the next band at 1.5 target from the density of this one
+                self.step *= min(4.0, max(0.25, 1.5 * target / len(reps)))
+            takes = _multiplicities(reps)
+            ends = np.cumsum(takes)
+            w = arrays.weights(reps)
+            inv_sq = w * w
+            # equal-weight orbits can cross by one ulp between the log key
+            # and the direct evaluation; clamp to keep the sequence exactly
+            # nonincreasing
+            v = np.minimum.accumulate(np.concatenate(([self.last], 1.0 / w)))[1:]
+            bases, totals = array("d"), array("d")  # doubles, not float objects
+            total, comp = self.total, self.comp
+            for block in (inv_sq * takes).tolist():
+                bases.append(total + comp)
+                totals.append(total)
+                t = total + block
+                if total >= block:  # both nonnegative: |total| >= |block|
+                    comp += (total - t) + block
+                else:
+                    comp += (block - t) + total
+                total = t
+            p0 = min(self.used, int(ends[-1]))
+            p1 = min(int(ends[-1]), p0 + goal - self.filled)
+            # refuse on the terms written only: the orbits up to the one of
+            # point p1 - 1, and the sum up to that point
+            i = int(np.searchsorted(ends, p1 - 1, side="right"))
+            if not (np.isfinite(inv_sq[: i + 1]).all() and math.isfinite(
+                    totals[i] + inv_sq[i] * (p1 - ends[i] + takes[i]))):
+                raise CumSumOverflowError("cumsum overflow; reduce N or s")
+            _fill(values, cum, at - p0, v, np.frombuffer(bases), inv_sq, takes,
+                  ends, p0, p1)
+            at += p1 - p0
+            self.filled += p1 - p0
+            if p1 < ends[-1]:  # stopped inside the band: keep the state before it
+                self.used = p1
+                return
+            self.used -= p0
+            self.lo, self.total, self.comp, self.last = hi, total, comp, float(v[-1])
+            self.axis = max(self.axis, int(reps[:, 0].max()))
+            self.orbits += len(reps)
 
 
 def sigma_prefix(spec: WeightSpec, n_max: int) -> SigmaPrefix:
@@ -412,82 +514,17 @@ def sigma_prefix(spec: WeightSpec, n_max: int) -> SigmaPrefix:
     Orbits come in heap order, (log weight, representative), a band of
     orbits at a time, and expand as blocks of equal values.  Raises
     CumSumOverflowError when sigma^-2 or its running sum leaves the double
-    range.
+    range.  The prefix keeps the walk where it stopped (``resume``).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     values = np.empty(n_max)
     cum = np.empty(n_max)
-    arrays = RepArrays(spec)
-    # the first trial threshold: the axis point 2
-    step = max(spec._log_evaluate_abs([2] + [0] * (spec.d - 1)), 5e-324)
-    filled = orbits = axis = 0
-    total = 0.0  # Neumaier-compensated running sum of sigma^-2
-    comp = 0.0
-    last = math.inf  # the last value written
-    lo = -math.inf
-    rows = 0  # partial representatives in the widest layer of the last band
-    # an orbit with first coordinate a follows its ancestors, the axis
-    # orbits 1..a-1 of two points or more each: a <= n_max / 2 + 1
-    a_max = n_max // 2 + 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        while filled < n_max:
-            # orbits still wanted, at the mean multiplicity so far
-            want = (n_max - filled) * orbits / filled if filled else n_max
-            # the first band, of unknown multiplicity, stays small; a band
-            # spans at least the rows its bisections run over
-            target = min(max(_BAND, rows) if filled else 1024, int(1.1 * want) + 8)
-            if spec.d == 1:
-                # the tree is a chain: the heap pops 0, 1, 2, ... whatever
-                # the rounded keys do
-                reps = np.arange(orbits, orbits + target)[:, None]
-            else:
-                hi, frame, step = _pick_band(arrays, lo, step, target, axis,
-                                             rows, a_max)
-                rows = frame[3]
-                reps = _band(arrays, lo, hi, frame)
-                lo = hi
-                if not len(reps):
-                    if hi == _FLOAT_MAX:
-                        # every further orbit has an infinite log weight
-                        raise CumSumOverflowError(
-                            "cumsum overflow; reduce N or s")
-                    step *= 2.0
-                    continue
-                axis = max(axis, int(reps[:, 0].max()))
-                # aim the next band at 1.5 target from the density of this one
-                step *= min(4.0, max(0.25, 1.5 * target / len(reps)))
-            takes = _multiplicities(reps)
-            ends = np.cumsum(takes)
-            if ends[-1] >= n_max - filled:
-                k = int(np.searchsorted(ends, n_max - filled)) + 1
-                reps, takes, ends = reps[:k], takes[:k], ends[:k]
-                takes[-1] -= ends[-1] - (n_max - filled)
-                ends[-1] = n_max - filled
-            w = arrays.weights(reps)
-            inv_sq = w * w
-            if not np.isfinite(inv_sq).all():
-                raise CumSumOverflowError("cumsum overflow; reduce N or s")
-            # equal-weight orbits can cross by one ulp between the log key
-            # and the direct evaluation; clamp to keep the sequence exactly
-            # nonincreasing
-            v = np.minimum.accumulate(np.concatenate(([last], 1.0 / w)))[1:]
-            bases = array("d")  # doubles, not float objects
-            for block in (inv_sq * takes).tolist():
-                bases.append(total + comp)
-                t = total + block
-                if total >= block:  # both nonnegative: |total| >= |block|
-                    comp += (total - t) + block
-                else:
-                    comp += (block - t) + total
-                total = t
-            if not math.isfinite(total):
-                raise CumSumOverflowError("cumsum overflow; reduce N or s")
-            _fill(values, cum, filled, v, np.frombuffer(bases), inv_sq, takes, ends)
-            filled += int(ends[-1])
-            orbits += len(reps)
-            last = float(v[-1])
-    return SigmaPrefix(spec, values, cum)
+    walk = _Walk(spec)
+    walk.take(values, cum, 0, n_max)
+    prefix = SigmaPrefix(spec, values, cum)
+    object.__setattr__(prefix, "_walk", walk)
+    return prefix
 
 
 def count_leq(spec: WeightSpec, t: float) -> int:

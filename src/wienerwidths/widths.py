@@ -67,7 +67,12 @@ certify (a single n far from its maximizer, flat stretches of the prefix, a
 jump past the last block's span) moves on to the next window, twice as wide
 (up to 2^20 values of h, as in ``sup_over_h``), with half its rows, so the
 matrix never holds more than 64 x 2048 floats until one row is left.  At
-the end of the prefix the pass raises ``sup_over_h``'s PrefixTooShortError.
+the end of a prefix from ``sigma_prefix`` where the certificate has not
+fired, its walk (``SigmaPrefix.resume``) takes as many terms again, up to
+the prefix cap, into a buffer of the block's h on, and the pass reads on
+with the same rows and window: the certificate alone decides how far a
+prefix reaches.  A prefix built from arrays raises ``sup_over_h``'s
+PrefixTooShortError there instead.
 The pass never calls ``sup_over_h``, which stays as the independent per-n
 reference, and every value is the one ``sup_over_h(prefix, n)[0]`` returns,
 to the last bit.
@@ -82,7 +87,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sigma import _PREFIX_CAP, ResourceLimitError, SigmaPrefix
+from .sigma import _PREFIX_CAP, ResourceLimitError, SigmaPrefix, _refuse_above_cap
 from .weights import Family, WeightSpec
 
 __all__ = [
@@ -320,7 +325,7 @@ def width(
 
     Raises ValueError where ``check_width`` does, and PrefixTooShortError
     when the prefix ends before max(ns), with ``required = max(ns)``, or
-    before a sup certificate fires.
+    when a prefix built from arrays ends before a sup certificate fires.
     """
     check_width(prefix.spec, embedding, kind, ns, p)
     if ns:
@@ -351,6 +356,8 @@ def _sup_values(prefix: SigmaPrefix, ns: Sequence[int]) -> list[float]:
     N = prefix.n_max
     S = prefix.cum_inv_sq
     sig = prefix.values
+    base = 0  # S and sig hold h = base + 1 .. N
+    walk = None
     order = sorted(set(ns))
     found: dict[int, float] = {}
     warm = 1  # maximizer of the last n answered
@@ -358,7 +365,8 @@ def _sup_values(prefix: SigmaPrefix, ns: Sequence[int]) -> list[float]:
     i = 0
     while i < len(order):
         lo = start = max(order[i], warm)
-        hi = min(lo + step - 1, N)
+        end = lo + step - 1  # the window's last h
+        hi = min(end, N)
         # a row with n > hi has no h >= n in the first window and cannot
         # certify in it
         j = bisect.bisect_right(order, hi, i, min(i + _BLOCK_ROWS, len(order)))
@@ -370,7 +378,7 @@ def _sup_values(prefix: SigmaPrefix, ns: Sequence[int]) -> list[float]:
             # are exact in float64
             vals = np.subtract(np.arange(lo, hi + 1), rows[:, None] - 1,
                                dtype=np.float64)
-            vals /= S[lo - 1 : hi]
+            vals /= S[lo - 1 - base : hi - base]
             at = np.argmax(vals, axis=1)
             top = vals[np.arange(len(rows)), at]
             # strict, so the smallest maximizer wins
@@ -378,26 +386,42 @@ def _sup_values(prefix: SigmaPrefix, ns: Sequence[int]) -> list[float]:
             best = np.where(better, top, best)
             arg = np.where(better, lo + at, arg)
             # sup_over_h's ceiling at hi, one per row
-            b = 1.0 / (sig[hi - 1] * sig[hi - 1])
-            ceiling = np.maximum(
-                (hi - rows + 2) / (S[hi - 1] + b), sig[hi - 1] * sig[hi - 1]
-            )
+            s_hi = sig[hi - 1 - base]
+            b = 1.0 / (s_hi * s_hi)
+            ceiling = np.maximum((hi - rows + 2) / (S[hi - 1 - base] + b),
+                                 s_hi * s_hi)
             ok = ceiling <= best
             k = len(rows) if ok.all() else int(np.argmin(ok))
             if k:
                 break
             if hi == N:
-                raise PrefixTooShortError(
-                    2 * N,
-                    f"prefix exhausted before certificate at n={order[i]}; "
-                    f"retry with at least {2 * N} terms",
-                )
-            # twice the window, half the rows, up to sup_over_h's last chunk
-            keep = max(1, len(rows) // 2)
-            rows, best, arg = rows[:keep], best[:keep], arg[:keep]
+                walk = walk or prefix.resume()
+                if walk is None:
+                    raise PrefixTooShortError(
+                        2 * N,
+                        f"prefix exhausted before certificate at n={order[i]}; "
+                        f"retry with at least {2 * N} terms",
+                    )
+                if N >= _PREFIX_CAP:
+                    _refuse_above_cap(2 * N)
+                # N more terms, up to the cap, after the block's h >= start
+                more = min(N, _PREFIX_CAP - N)
+                held = N - start + 1
+                grown = np.empty((2, held + more))
+                grown[0, :held] = S[start - 1 - base :]
+                grown[1, :held] = sig[start - 1 - base :]
+                walk.take(grown[1], grown[0], held, more)
+                S, sig = grown
+                base, N = start - 1, N + more
+            if hi == end:
+                # twice the window, half the rows, up to sup_over_h's last
+                # chunk
+                keep = max(1, len(rows) // 2)
+                rows, best, arg = rows[:keep], best[:keep], arg[:keep]
+                step = min(2 * step, _MAX_WIDTH)
+                end = hi + step
             lo = hi + 1
-            step = min(2 * step, _MAX_WIDTH)
-            hi = min(lo + step - 1, N)
+            hi = min(end, N)
         found.update(zip(order[i : i + k], map(math.sqrt, best[:k].tolist())))
         warm = int(arg[k - 1])
         i += k

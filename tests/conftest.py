@@ -57,6 +57,14 @@ def heap_prefix(spec, n_max):
     return SigmaPrefix(spec, values, cum)
 
 
+def array_prefix(spec, n_max):
+    """``sigma_prefix``'s first n_max terms as a prefix built from arrays:
+    it has no walk to take more terms from, so ``width`` raises
+    PrefixTooShortError where its sup certificate needs more."""
+    p = sigma_prefix(spec, n_max)
+    return SigmaPrefix(spec, p.values, p.cum_inv_sq)
+
+
 def oracle_prefix(spec, n_max):
     """Brute-force prefix with an auto-sized certified box.
 

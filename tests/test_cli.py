@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -95,8 +96,8 @@ def test_output_file_and_json(tmp_path):
 
 
 def test_width_bracket_and_auto_prefix():
-    # approximation widths need h beyond n; the CLI grows the prefix on its
-    # own until the certificate fits
+    # approximation widths need h beyond n; width takes more terms on its
+    # own until the certificate fires
     out = run_cli("width", "--family", "mixed-sr", "--s", "1", "--r", "2",
                   "--d", "1", "--embedding", "cmix-to-l2",
                   "--kind", "approximation", "--n", "2")
@@ -104,6 +105,45 @@ def test_width_bracket_and_auto_prefix():
     n, lower, upper, exact = out.stdout.strip().splitlines()[1].split(",")
     assert exact == "false"
     assert float(lower) < float(upper)
+
+
+def test_sup_width_needs_no_terms_past_its_certificate(capsys):
+    # this weight has 169 terms with a finite sigma^-2, and the certificate
+    # of n = 50 fires within them; a prefix guessed at 4n ran past them and
+    # refused
+    width = ["width", "--family", "mixed-inf", "--s", "80", "--d", "1",
+             "--embedding", "a-to-l2", "--kind", "approximation"]
+    for n, row in [
+        ("50", "50,1.4604370749289267e-112,1.4604370749289267e-112,true"),
+        ("5", "5,5.8490502040228813e-25,5.8490502040228813e-25,true"),
+        ("20", "20,9.9999997613444706e-81,9.9999997613444706e-81,true"),
+    ]:
+        assert main([*width, "--n", n]) == 0
+        assert capsys.readouterr().out == f"n,lower,upper,exact\n{row}\n"
+    assert main([*width, "--n", "200"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: cumsum overflow; reduce N or s\n"
+    assert captured.out == ""
+
+
+def test_sup_width_reads_as_far_as_its_certificate(monkeypatch, capsys):
+    # the certificate of n = 24,000 fires near h = 36,000: the prefix of
+    # 24,000 terms takes 24,000 more once, where a 4n guess took 96,000
+    taken = []
+    take = sigma._Walk.take
+
+    def counting(walk, values, cum, at, k):
+        taken.append(k)
+        return take(walk, values, cum, at, k)
+
+    monkeypatch.setattr(sigma._Walk, "take", counting)
+    assert main(["width", "--family", "mixed-inf", "--s", "1", "--d", "1",
+                 "--embedding", "a-to-l2", "--kind", "approximation",
+                 "--n", "1..24000"]) == 0
+    out = capsys.readouterr().out
+    assert sum(taken) <= 48_000, taken
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6fcb26a731360a282c68d67365fa8de2ebbfe4982a1bf604d0451d68bc716a83")
 
 
 def test_sigma_oracle_column():

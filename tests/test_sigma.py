@@ -162,6 +162,92 @@ def test_prefix_bit_identical_fixed(spec, n_max):
     assert fast.cum_inv_sq.tobytes() == ref.cum_inv_sq.tobytes()
 
 
+def _taken(prefix, k):
+    """The k terms after a prefix, from a copy of its walk."""
+    values, cum = np.empty(k), np.empty(k)
+    prefix.resume().take(values, cum, 0, k)
+    return values, cum
+
+
+@st.composite
+def _resume_specs(draw, kind):
+    if kind == "cmix":
+        m = draw(st.integers(1, 3))
+        return WeightSpec(Family.MIXED_SR, s=m, d=draw(st.integers(1, 3)), r=2 * m)
+    if kind == "near-flat":
+        return draw(st.sampled_from([
+            WeightSpec(Family.H1_RATIO, s=1 + 1e-12, d=1),
+            WeightSpec(Family.H1_RATIO, s=1 + 1e-12, d=2),
+            WeightSpec(Family.H1_RATIO, s=1 + 1e-15, d=2),
+            WeightSpec(Family.H1_RATIO, s=1.0987327173636765, d=3),
+        ]))
+    s = draw(st.sampled_from([1.25, 1.5, 2.0, 3.0] if kind is Family.H1_RATIO
+                             else [0.5, 1.0, 1.5, 2.0, 7 / 4]))
+    r = None
+    if kind in (Family.MIXED_SR, Family.ISOTROPIC_SR):
+        r = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    return WeightSpec(kind, s=s, d=draw(st.integers(1, 3)), r=r)
+
+
+@pytest.mark.parametrize("kind", [*Family, "cmix", "near-flat"],
+                         ids=lambda f: getattr(f, "value", f))
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(data=st.data(), a=st.integers(1, 3000), b=st.integers(1, 3000),
+       c=st.integers(1, 3000))
+def test_resumed_prefix_bit_identical_to_heap(kind, data, a, b, c):
+    # a terms, then b more and c more from one walk, and c more again from
+    # the prefix of a terms, which the first walk left as it was
+    spec = data.draw(_resume_specs(kind), label="spec")
+    ref = heap_prefix(spec, a + b + c)
+    head = sigma_prefix(spec, a)
+    walk = head.resume()
+    values, cum = np.empty(b + c), np.empty(b + c)
+    walk.take(values, cum, 0, b)
+    walk.take(values, cum, b, c)
+    again = _taken(head, c)
+    for got, want in [
+        (head.values, ref.values[:a]), (head.cum_inv_sq, ref.cum_inv_sq[:a]),
+        (values, ref.values[a:]), (cum, ref.cum_inv_sq[a:]),
+        (again[0], ref.values[a:a + c]), (again[1], ref.cum_inv_sq[a:a + c]),
+    ]:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_resumed_prefix_finds_the_orbits_past_its_bound():
+    # the first coordinate of the prefix of 238 terms is bounded by
+    # 238 // 2 + 1 = 120, which cuts the band it stops in; the next terms
+    # come from that band found again under the bound of 17,527 terms, or
+    # orbits from index 1,245 on are lost
+    spec = WeightSpec(Family.H1_RATIO, s=2.0, d=2)
+    ref = heap_prefix(spec, 17_527)
+    values, cum = _taken(sigma_prefix(spec, 238), 17_527 - 238)
+    assert values.tobytes() == ref.values[238:].tobytes()
+    assert cum.tobytes() == ref.cum_inv_sq[238:].tobytes()
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 11), (2, 61)])
+def test_overflow_refused_at_the_term_that_overflows(d, n_max):
+    # sigma^-2 = omega^2 leaves the double range at term n_max + 1, inside
+    # a band that reaches further: a prefix that stops before it is no
+    # refusal
+    spec = WeightSpec(Family.MIXED_INF, s=200.0, d=d)
+    assert sigma_prefix(spec, n_max).n_max == n_max
+    with pytest.raises(CumSumOverflowError):
+        sigma_prefix(spec, n_max + 1)
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 11), (2, 61)])
+def test_overflow_refused_at_the_term_that_overflows_resumed(d, n_max):
+    spec = WeightSpec(Family.MIXED_INF, s=200.0, d=d)
+    head = sigma_prefix(spec, 5)
+    walk = head.resume()
+    walk.take(np.empty(n_max - 5), np.empty(n_max - 5), 0, n_max - 5)
+    with pytest.raises(CumSumOverflowError):
+        walk.take(np.empty(1), np.empty(1), 0, 1)
+    with pytest.raises(CumSumOverflowError):
+        _taken(head, n_max - 4)
+
+
 def test_iter_orbits_nondecreasing_and_complete():
     spec = WeightSpec(Family.MIXED_SR, s=1.0, d=2, r=2.0)
     reps = []

@@ -15,6 +15,7 @@ from wienerwidths import (
 )
 from wienerwidths import widths as widths_mod
 from wienerwidths.widths import is_exact, needs_sup
+from conftest import array_prefix
 
 ALL_KINDS = list(WidthKind)
 U_KINDS = [WidthKind.APPROXIMATION, WidthKind.KOLMOGOROV]
@@ -75,7 +76,7 @@ def test_sup_over_h_argmax_locality():
 
 def test_prefix_too_short():
     spec = WeightSpec(Family.MIXED_SR, s=2.0, d=1, r=2.0)
-    p = sigma_prefix(spec, 40)
+    p = array_prefix(spec, 40)
     with pytest.raises(PrefixTooShortError) as exc:
         width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, [39])
     assert exc.value.required > 40
@@ -186,7 +187,7 @@ def _dispatch_prefixes():
 
 
 def test_needs_sup_matches_width_dispatch(monkeypatch):
-    # the predicate the CLI sizes prefixes by must agree with the dispatch:
+    # the predicate refuse_flat decides by must agree with the dispatch:
     # the grid pass runs iff needs_sup
     calls = []
     real = widths_mod._sup_values
@@ -217,7 +218,7 @@ def test_grid_pass_never_calls_per_n_scan(monkeypatch):
     # answers each alone, bit for bit as the per-n scan, and refuses the
     # flat one with the per-n scan's error
     p = sigma_prefix(WeightSpec(Family.MIXED_INF, s=1.0, d=1), 40000)
-    flat = sigma_prefix(WeightSpec(Family.MIXED_INF, s=1.0, d=5), 100)
+    flat = array_prefix(WeightSpec(Family.MIXED_INF, s=1.0, d=5), 100)
     grids = [[5000], [100, 1000, 10000], list(range(1, 3001))]
     expected = [[sup_over_h(p, n)[0] for n in grid] for grid in grids]
     with pytest.raises(PrefixTooShortError) as per_n:
@@ -245,7 +246,8 @@ def test_grid_pass_windows_follow_the_last_block(monkeypatch):
     # window starts at twice the span the last block used, so a dense grid
     # builds about a tenth of the cells that 2048-wide windows did (94
     # blocks of 64 x 2048, 12.3M cells, on this grid), and no matrix
-    # exceeds 64 x 2048 cells
+    # exceeds 64 x 2048 cells; on a prefix that ends at the grid's top n
+    # the pass takes its further terms within the same windows
     shapes = []
 
     class Recording:
@@ -257,21 +259,25 @@ def test_grid_pass_windows_follow_the_last_block(monkeypatch):
             shapes.append(out.shape)
             return out
 
-    p = sigma_prefix(WeightSpec(Family.MIXED_INF, s=1.0, d=1), 24000)
+    spec = WeightSpec(Family.MIXED_INF, s=1.0, d=1)
     grid = list(range(1, 6001))
-    expected = [sup_over_h(p, n)[0] for n in grid]
+    reference = sigma_prefix(spec, 24000)
+    expected = [sup_over_h(reference, n)[0] for n in grid]
     monkeypatch.setattr(widths_mod, "np", Recording())
-    got = width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, grid)
-    assert [w.value for w in got] == expected
-    cells = [rows * cols for rows, cols in shapes]
-    assert max(cells) <= 64 * 2048
-    assert sum(cells) < 3_000_000, (len(cells), sum(cells))
+    for n_max in (24000, 6000):
+        shapes.clear()
+        p = sigma_prefix(spec, n_max)
+        got = width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, grid)
+        assert [w.value for w in got] == expected
+        cells = [rows * cols for rows, cols in shapes]
+        assert max(cells) <= 64 * 2048
+        assert sum(cells) < 3_000_000, (n_max, len(cells), sum(cells))
 
 
 def test_grid_pass_on_flat_prefix():
     # the prefix of test_sup_over_h_constant_prefix: n = 1 certifies, n = 7
     # never does, through the grid pass as through sup_over_h
-    p = sigma_prefix(WeightSpec(Family.MIXED_INF, s=1.0, d=5), 100)
+    p = array_prefix(WeightSpec(Family.MIXED_INF, s=1.0, d=5), 100)
     got = width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, [1])
     assert got[0].value == 1.0
     with pytest.raises(PrefixTooShortError) as exc:
