@@ -44,12 +44,13 @@ import itertools
 import math
 import sys
 import warnings
-from typing import Sequence
+from fractions import Fraction
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+from .common import Embedding, ResourceLimitError, WidthKind, width
 
-from .sigma import ResourceLimitError, SigmaPrefix
-from .widths import Embedding, WidthKind, is_exact, width
+if TYPE_CHECKING:
+    from .sigma import SigmaPrefix
 
 __all__ = [
     "CONSTANT_NAMES",
@@ -74,6 +75,8 @@ CONSTANT_NAMES = (
 # as unreachable (exponent 2p too close to 1).
 _SERIES_K_CAP = 50_000_000
 
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)  # ~ -708.40, least normal float
+
 
 def _need(value, what: str, cond: bool, constraint: str) -> None:
     if value is None:
@@ -93,8 +96,12 @@ def constant(
     except OverflowError:  # a float power or an int-to-float conversion
         value = math.inf
     if not math.isfinite(value):
-        raise ValueError(f"{name} leaves the float range at s={s!r}, d={d!r}")
+        raise _out_of_range(name, s, d)
     return value
+
+
+def _out_of_range(name: str, s: float | None, d: int | None) -> ValueError:
+    return ValueError(f"{name} leaves the float range at s={s!r}, d={d!r}")
 
 
 def _formula(name: str, s: float | None, d: int | None, tol: float) -> float:
@@ -105,11 +112,27 @@ def _formula(name: str, s: float | None, d: int | None, tol: float) -> float:
     if name == "mix-l2-sigma":
         _need(d, "d", d is not None and d >= 1, "mix-l2-sigma requires d >= 1")
         _need(s, "s", s is not None and s > 0, "mix-l2-sigma requires s > 0")
-        base = 2.0**d / math.factorial(d - 1)
-        return base**s
+        # 2^d / (d-1)! is one int/int division, so the base is correctly
+        # rounded.  A base below the normal floats is refused, at once where
+        # its log lies well below them, so a large d forms no factorial; a
+        # power that underflows to 0 is refused as one that overflows.
+        if d * math.log(2.0) - math.lgamma(d) < _LOG_FLOAT_MIN - 1.0:
+            raise _out_of_range(name, s, d)
+        base = 2**d / math.factorial(d - 1)
+        value = base**s
+        if base < sys.float_info.min or value == 0.0:
+            raise _out_of_range(name, s, d)
+        return value
     if name == "transfer-uv":
         _need(s, "s", s is not None and s > 0, "transfer-uv requires s > 0")
-        return (2.0 * s / (2.0 * s + 1.0)) ** s
+        # the base q = 2s/(2s+1) with its rounding error carried along, as
+        # for preasymptotic: a plain power multiplies that error by s, and
+        # from s ~ 1e16 on q rounds to 1
+        two_s = 2 * Fraction(s)
+        q = two_s / (two_s + 1)
+        base = float(q)
+        err = float(q - Fraction(base))
+        return base**s * math.exp(s * math.log1p(err / base))
     if name == "transfer-vw":
         _need(s, "s", s is not None and s > 0, "transfer-vw requires s > 0")
         return math.sqrt(2.0 * s + 1.0)
@@ -194,6 +217,8 @@ def series_S(s: float, tol: float = 1e-10) -> float:
                 f"series tolerance {tol} unreachable for s={s}: "
                 f"would need more than {_SERIES_K_CAP} terms"
             )
+    import numpy as np
+
     chunk = 1 << 20
     parts = []
     for lo in range(1, K + 1, chunk):
@@ -215,6 +240,8 @@ def check_convergence(
     bracket has no single ratio), and alpha and beta finite.  Needs no
     prefix, so a caller can refuse before enumerating one; copies nothing,
     so a lazy ``range`` stays lazy."""
+    from .widths import is_exact
+
     if isinstance(n_grid, range):
         increasing = len(n_grid) == 1 or (len(n_grid) > 1 and n_grid.step > 0)
     else:

@@ -33,6 +33,12 @@ Prefix lengths above 30,000,000 are refused before any enumeration, and
 so are grids of count, appendix-verify and integral longer than 100,000.
 Exit codes: 0 success, 1 stdout closed early (broken pipe), 2 domain/usage
 error or an --output path that cannot be opened, 3 resource cap.
+
+Importing this module loads no numpy.  ``sigma``, ``width``, ``converge``
+and ``appendix-verify`` load it at their first call into the array modules
+(``sigma``, ``widths``, ``weights``), and ``constants`` where it sums the
+series S (``s-series``, and ``h1-constant`` at d > 1); ``integral``,
+``count`` and the other constants run without it.
 """
 from __future__ import annotations
 
@@ -42,9 +48,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .asymptotics import (
     CONSTANT_NAMES,
@@ -52,6 +56,15 @@ from .asymptotics import (
     check_convergence,
     constant,
     convergence_table,
+)
+from .common import (
+    Embedding,
+    Family,
+    ResourceLimitError,
+    WidthKind,
+    sigma_bruteforce,
+    sigma_prefix,
+    width,
 )
 from .lattice_count import (
     count_A,
@@ -61,21 +74,10 @@ from .lattice_count import (
     split_cut,
     verify_appendix_limits,
 )
-from .sigma import (
-    ResourceLimitError,
-    SigmaPrefix,
-    _refuse_above_cap,
-    sigma_bruteforce,
-    sigma_prefix,
-)
-from .weights import Family, WeightSpec
-from .widths import (
-    Embedding,
-    WidthKind,
-    check_width,
-    refuse_flat,
-    width,
-)
+
+if TYPE_CHECKING:
+    from .sigma import SigmaPrefix
+    from .weights import WeightSpec
 
 __all__ = ["main"]
 
@@ -142,6 +144,8 @@ def _parse_int_list(text: str, capped: str | None = None) -> Sequence[int]:
     if len(parts) == 1:
         return parts[0]
     if capped is None:
+        from .sigma import _refuse_above_cap
+
         _refuse_above_cap(max(_top(p) for p in parts if p))
     return [n for p in parts for n in p]
 
@@ -167,6 +171,8 @@ def _parse_s(text: str) -> Fraction:
 
 
 def _make_spec(args: argparse.Namespace) -> WeightSpec:
+    from .weights import WeightSpec
+
     r = None
     if args.r is not None:
         if args.r.lower() in ("inf", "infinity"):
@@ -199,7 +205,7 @@ def _csv_cell(x) -> str:
 
 def _listed(col: Sequence) -> Sequence:
     """A column block as Python scalars: a numpy slice becomes a list."""
-    return col.tolist() if isinstance(col, np.ndarray) else col
+    return col.tolist() if hasattr(col, "tolist") else col
 
 
 def _each(convert: Callable) -> Callable[[Sequence], list]:
@@ -214,6 +220,8 @@ def _by_runs(spec: str) -> Callable[[Sequence], list]:
     merge."""
 
     def convert(col: Sequence) -> list:
+        import numpy as np
+
         col = np.asarray(col, dtype=np.float64)
         bits = col.view(np.uint64)
         new = np.ones(len(col), dtype=bool)
@@ -302,6 +310,8 @@ def _emit(
 
 def _prefix(spec: WeightSpec, n: int) -> SigmaPrefix:
     """The first n rearrangement values, refused above the prefix cap."""
+    from .sigma import _refuse_above_cap
+
     _refuse_above_cap(n)
     if n >= _PROGRESS_AT:
         print(f"computing rearrangement prefix, N={n} ...", file=sys.stderr)
@@ -332,6 +342,9 @@ def _cmd_sigma(args: argparse.Namespace) -> Table:
 
 
 def _cmd_width(args: argparse.Namespace) -> Table:
+    from .sigma import _refuse_above_cap
+    from .widths import check_width, refuse_flat
+
     spec = _make_spec(args)
     embedding = Embedding(args.embedding)
     kind = WidthKind(args.kind)
@@ -348,6 +361,9 @@ def _cmd_width(args: argparse.Namespace) -> Table:
 
 
 def _cmd_converge(args: argparse.Namespace) -> Table:
+    from .sigma import _refuse_above_cap
+    from .widths import check_width, refuse_flat
+
     spec = _make_spec(args)
     embedding = Embedding(args.embedding)
     kind = WidthKind(args.kind)

@@ -52,8 +52,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .asymptotics import series_S
-from .sigma import ResourceLimitError, _refuse_above_cap, sigma_prefix
-from .weights import Family, WeightSpec
+from .common import Family, ResourceLimitError, sigma_prefix
 
 __all__ = [
     "count_C",
@@ -260,6 +259,9 @@ def sandwich_check(s, d: int, r: int) -> bool:
     Both endpoints are attained (threshold points exist on the axes), so the
     float comparison carries a 1e-9 relative guard.
     """
+    from .sigma import _refuse_above_cap
+    from .weights import WeightSpec
+
     frac = _smoothness(s)
     _require_positive("r", r)
     if r < 2:

@@ -80,6 +80,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .common import ResourceLimitError
 from .weights import RepArrays, WeightSpec, log_weight_box
 
 __all__ = [
@@ -108,11 +109,6 @@ _FILL = 1 << 13
 # Multiplicities saturate here, above any prefix length that fits in memory.
 _MULT_CAP = 1 << 40
 _FLOAT_MAX = sys.float_info.max
-
-
-class ResourceLimitError(RuntimeError):
-    """A computation exceeded its resource cap (series length, prefix size)
-    or a bound it must certify."""
 
 
 def _refuse_above_cap(n: int) -> None:

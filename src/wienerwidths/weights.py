@@ -34,7 +34,6 @@ their width *asymptotics* are not covered by the supported constants.
 """
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from dataclasses import dataclass
@@ -42,20 +41,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .common import Family
+
 # Largest tensor the vectorized box evaluation will materialize.
 _MAX_BOX_ELEMENTS = 200_000_000
 
 _LOG_MAX_FLOAT = math.log(sys.float_info.max)  # ~709.78
-
-
-class Family(enum.Enum):
-    """The five weight families, keyed by their CLI names."""
-
-    MIXED_SR = "mixed-sr"
-    MIXED_INF = "mixed-inf"
-    ISOTROPIC_SR = "isotropic-sr"
-    ISOTROPIC_INF = "isotropic-inf"
-    H1_RATIO = "h1-ratio"
 
 
 def _log1p_pow(v: int, r: float) -> float:

@@ -80,15 +80,15 @@ to the last bit.
 from __future__ import annotations
 
 import bisect
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .sigma import _PREFIX_CAP, ResourceLimitError, SigmaPrefix, _refuse_above_cap
-from .weights import Family, WeightSpec
+from .common import Embedding, Family, ResourceLimitError, WidthKind
+from .sigma import _PREFIX_CAP, SigmaPrefix, _refuse_above_cap
+from .weights import WeightSpec
 
 __all__ = [
     "Embedding",
@@ -102,24 +102,6 @@ __all__ = [
     "is_exact",
     "sup_over_h",
 ]
-
-
-class Embedding(enum.Enum):
-    A_TO_A = "a-to-a"
-    F_TO_L2 = "f-to-l2"
-    A_TO_L2 = "a-to-l2"
-    A_TO_LINF = "a-to-linf"
-    A_TO_LP = "a-to-lp"
-    CMIX_TO_L2 = "cmix-to-l2"
-    AMIX_TO_H1 = "amix-to-h1"
-    HMIX_TO_H1 = "hmix-to-h1"
-
-
-class WidthKind(enum.Enum):
-    APPROXIMATION = "approximation"
-    KOLMOGOROV = "kolmogorov"
-    BERNSTEIN = "bernstein"
-    WEYL = "weyl"
 
 
 # kinds sharing the sup formula (u); the others share the sum formula (v)

@@ -36,6 +36,42 @@ def test_constant_power_identity():
             assert constant("mix-l2-sigma", s=s, d=d) == base ** s
 
 
+def test_mix_l2_sigma_base_is_correctly_rounded():
+    # 2^d / (d-1)! in one int/int division, up to d = 197, the last d whose
+    # base is a normal float.  The float division 2.0**d / (d-1)! rounds
+    # (d-1)! first: an ulp off at d = 24 and at 42 other d up to 171, and an
+    # OverflowError from d = 172 on, where the value is a normal float
+    for d in range(1, 198):
+        assert constant("mix-l2-sigma", s=1.0, d=d) == (
+            2**d / math.factorial(d - 1)), d
+    assert constant("mix-l2-sigma", s=1.0, d=24) == 6.4897126477427844e-16
+    assert constant("mix-l2-sigma", s=1.0, d=172) == 4.8237095415197397e-258
+
+
+def test_mix_l2_sigma_refuses_outside_the_normal_floats():
+    # (d-1)! is never formed for a d whose base is far below the normal
+    # floats, so d = 1e9 is refused at once
+    for s, d in ((2.0, 171), (1.0, 198), (0.01, 230), (1.0, 2000),
+                 (1.0, 10**9), (1.0, 10**400)):
+        with pytest.raises(ValueError, match="leaves the float range"):
+            constant("mix-l2-sigma", s=s, d=d)
+
+
+def test_transfer_uv_against_mpmath():
+    # (2s/(2s+1))^s = exp(-s log1p(1/(2s))), to within 2 ulp; the plain
+    # float power multiplied the base's rounding by s (2.4e11 ulp off at
+    # s = 1e12) and printed 1 from s ~ 1e16 on, where the limit is e^-1/2
+    import mpmath
+
+    grid = [10.0 ** (k / 100) for k in range(-300, 1600)]
+    with mpmath.workprec(400):
+        for s in [*grid, 1e20, 1e100, 1e300, 1.7e308]:
+            got = constant("transfer-uv", s=s)
+            exact = mpmath.exp(-s * mpmath.log1p(1 / (2 * mpmath.mpf(s))))
+            assert abs(mpmath.mpf(got) - exact) <= 2 * math.ulp(got), s
+    assert constant("transfer-uv", s=1.0) == 0.66666666666666663
+
+
 def test_preasymptotic_d4():
     expect = (1.0 + (1.0 + 2.0 / math.log2(3.0)) / 3.0) ** 3
     np.testing.assert_allclose(constant("preasymptotic", d=4),

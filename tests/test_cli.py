@@ -291,6 +291,11 @@ def test_usage_errors_exit_2():
           "--n", "3"], "error: beyond the float range: '1e400'"),
         (["constants", "--name", "mix-l2-sigma", "--s", "1", "--d", "2000"],
          "error: mix-l2-sigma leaves the float range at s=1.0, d=2000"),
+        (["constants", "--name", "mix-l2-sigma", "--s", "1", "--d", "1e9"],
+         "error: mix-l2-sigma leaves the float range at s=1.0, d=1000000000"),
+        # underflows to 0, as the power of a base that is a normal float
+        (["constants", "--name", "mix-l2-sigma", "--s", "2", "--d", "171"],
+         "error: mix-l2-sigma leaves the float range at s=2.0, d=171"),
         (["constants", "--name", "transfer-vw", "--s", "1e308"],
          "error: transfer-vw leaves the float range at s=1e+308, d=None"),
         (["constants", "--name", "transfer-vw", "--s", "1e308",
@@ -450,6 +455,59 @@ def test_every_subcommand_runs_without_scipy(argv):
     plain = run_cli(*argv)
     assert plain.returncode == 0, plain.stderr
     assert blocked.stdout == plain.stdout
+
+
+_SECTION_11 = _EVERY_SUBCOMMAND[-2:]
+# (argv, exit code): both REPRODUCE.md section 11 integrals, the constants
+# that sum no series, the three kinds of count, and a refusal of every
+# subcommand, which for the array commands argparse makes
+_WITHOUT_NUMPY = [
+    *((argv, 0) for argv in _SECTION_11),
+    (["constants", "--name", "mix-l2-sigma", "--s", "3/2", "--d", "3"], 0),
+    (["constants", "--name", "transfer-uv", "--s", "1"], 0),
+    (["constants", "--name", "transfer-vw", "--s", "1"], 0),
+    (["constants", "--name", "preasymptotic", "--d", "10"], 0),
+    (["constants", "--name", "h1-constant", "--s", "2", "--d", "1"], 0),
+    (["count", "--s", "3/2", "--d", "4", "--r-grid", "1..50"], 0),
+    (["count", "--s", "3/2", "--ell", "2", "--r-grid", "1..10"], 0),
+    (["count", "--s", "3/2", "--ell", "3", "--j", "2", "--r-ell", "auto",
+      "--r-grid", "5..20"], 0),
+    (["sigma", "--family", "no-such-family", "--s", "1", "--d", "1",
+      "--n", "5"], 2),
+    (["width", "--family", "mixed-inf", "--s", "1", "--d", "1", "--embedding",
+      "a-to-l2", "--kind", "no-such-kind", "--n", "5"], 2),
+    (["converge", "--family", "mixed-inf", "--s", "1", "--d", "1",
+      "--embedding", "no-such-embedding", "--kind", "approximation",
+      "--n-grid", "10", "--alpha", "1", "--beta", "0", "--target", "1"], 2),
+    (["constants", "--name", "transfer-uv"], 2),
+    (["count", "--s", "2", "--r-grid", "1..5"], 2),
+    (["appendix-verify", "--s", "1", "--d", "2", "--r-grid", "3"], 2),
+    (["integral", "--s", "-1", "--beta", "1", "--a", "2", "--n-grid", "10"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", _WITHOUT_NUMPY,
+                         ids=[" ".join(argv) for argv, _ in _WITHOUT_NUMPY])
+def test_numpy_free_commands_run_without_numpy(argv, code):
+    # with every import of numpy failing, each command gives the stdout,
+    # exit code and stderr it gives with numpy importable
+    run = ("import runpy, sys; sys.modules['numpy'] = None; "
+           "runpy.run_module('wienerwidths.cli', run_name='__main__')")
+    blocked = subprocess.run([sys.executable, "-c", run, *argv],
+                             capture_output=True, text=True, timeout=120)
+    plain = run_cli(*argv)
+    assert plain.returncode == code, plain.stderr
+    assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
+        plain.returncode, plain.stdout, plain.stderr)
+
+
+def test_imports_load_no_numpy():
+    code = ("import sys, wienerwidths; print('numpy' in sys.modules); "
+            "import wienerwidths.cli; print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_flagged_quadrature_prints_and_warns():
