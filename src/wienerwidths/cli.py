@@ -26,11 +26,14 @@ byte-identical across runs.  Tables stream out a block at a time
 (``sigma`` hands over slices of its prefix arrays, the small tables are
 transposed a block at a time), so peak memory is the prefix, 16 bytes per
 row, plus one block; rows that can fail are all computed before the first
-byte.  Integers may be spelled 1.5e5.  Progress notes go to stderr.
+byte.  Integers may be spelled 1.5e5.  Progress notes go to stderr, and
+so does each warning, as the one line "warning: <category>: <message>".
 A width or converge grid enumerates its largest n (or --prefix-n, where
 larger), and a sup width takes more terms as its certificate needs them.
 Prefix lengths above 30,000,000 are refused before any enumeration, and
-so are grids of count, appendix-verify and integral longer than 100,000.
+so are grids of count, appendix-verify and integral longer than 100,000,
+and an oracle box (``sigma --check-box-radius``) above its cap or with
+fewer points than the prefix.
 Exit codes: 0 success, 1 stdout closed early (broken pipe), 2 domain/usage
 error or an --output path that cannot be opened, 3 resource cap.
 
@@ -47,6 +50,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -326,6 +330,12 @@ def _cmd_sigma(args: argparse.Namespace) -> Table:
     n_max = _parse_int(args.n)
     if n_max < 1:
         raise ValueError("--n must be >= 1")
+    if args.check_box_radius is not None:
+        # the oracle's box is refused after the prefix cap, before enumerating
+        from .sigma import _check_box, _refuse_above_cap
+
+        _refuse_above_cap(n_max)
+        _check_box(spec, n_max, args.check_box_radius)
     prefix = _prefix(spec, n_max)
     # cum_inv_sq rises at every row, so it has no runs to print once
     columns = [("n", _INT), ("sigma", _FLOAT_RUNS), ("cum_inv_sq", _FLOAT)]
@@ -554,29 +564,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """A warning as one stderr line, without the file, line number and
+    source line of the call that warned."""
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        _emit(args, *_DISPATCH[args.command](args))
-        sys.stdout.flush()
-        return 0
-    except BrokenPipeError:
-        # The reader closed stdout (e.g. `| head`).  Point stdout at devnull
-        # so the flush at interpreter exit cannot raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 1
-    except OSError as exc:  # e.g. an --output path that cannot be opened
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ResourceLimitError, MemoryError) as exc:
-        # ResourceLimitError covers sigma.CumSumOverflowError
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, TypeError, OverflowError) as exc:
-        # any other OverflowError is an input beyond the float range
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            _emit(args, *_DISPATCH[args.command](args))
+            sys.stdout.flush()
+            return 0
+        except BrokenPipeError:
+            # The reader closed stdout (e.g. `| head`).  Point stdout at
+            # devnull so the flush at interpreter exit cannot raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            return 1
+        except OSError as exc:  # e.g. an --output path that cannot be opened
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (ResourceLimitError, MemoryError) as exc:
+            # ResourceLimitError covers sigma.CumSumOverflowError
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except (ValueError, TypeError, OverflowError) as exc:
+            # any other OverflowError is an input beyond the float range
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

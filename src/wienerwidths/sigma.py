@@ -40,8 +40,9 @@ key dips as a coordinate grows, and every representative with exact key in
 (lo, hi] is a candidate.  Every order key and every printed value comes
 from ``weights.RepArrays``, bit for bit the scalar ``WeightSpec`` formulas,
 and a candidate near a band edge joins the band its exact key falls in.
-Multiplicities, the clamp and the sigma^-2 blocks are arrays; only the
-Neumaier-compensated running sum steps orbit by orbit.
+Multiplicities, the clamp, the sigma^-2 blocks and their
+Neumaier-compensated running sum are arrays; the sum is two in-order
+accumulations, bit for bit the orbit-by-orbit loop.
 
 ``iter_orbits`` is the reference for that order: a best-first walk over the
 tree of canonical representatives under the unique-parent rule "decrement
@@ -61,11 +62,15 @@ put it at its own key.  In d = 1 the tree is a chain, and both give
 0, 1, 2, ... whatever the keys.  The tests compare the two bit for bit,
 near-flat weights included.
 
-``sigma_bruteforce`` is the deliberately dumb cross-check: evaluate the whole
-box |k|_inf <= R with vectorized numpy arithmetic, partial-sort, and certify
-sufficiency of the box through the boundary shell (every point outside the
-box dominates its clamp onto the shell coordinatewise, so if sigma_N beats
-the best shell value strictly, no outside point can intrude into the top N).
+``sigma_bruteforce`` is the deliberately dumb cross-check: evaluate every
+point of the box |k|_inf <= R with vectorized numpy arithmetic, partial-sort,
+and certify sufficiency of the box through the boundary shell (every point
+outside the box dominates its clamp onto the shell coordinatewise, so if
+sigma_N beats the best shell value strictly, no outside point can intrude
+into the top N).  It walks no orbit.  The box streams in slabs of first
+coordinates, each bit for bit its rows of ``log_weight_box``, and a
+selection keeps the N smallest log weights so far: the multiset the whole
+box gives, in O(N + slab) memory.
 """
 from __future__ import annotations
 
@@ -73,7 +78,6 @@ import copy
 import heapq
 import math
 import sys
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -81,7 +85,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .common import ResourceLimitError
-from .weights import RepArrays, WeightSpec, log_weight_box
+from .weights import RepArrays, WeightSpec, box_size, log_weight_box
 
 __all__ = [
     "SigmaPrefix",
@@ -106,6 +110,8 @@ _PREFIX_CAP = 30_000_000
 # band's transient arrays.
 _BAND = 1 << 12
 _FILL = 1 << 13
+# Points the box oracle evaluates at a time, or n_max where larger.
+_SLAB = 1 << 18
 # Multiplicities saturate here, above any prefix length that fits in memory.
 _MULT_CAP = 1 << 40
 _FLOAT_MAX = sys.float_info.max
@@ -399,6 +405,21 @@ def _band(arrays: RepArrays, lo: float, hi: float, frame) -> np.ndarray:
     return reps[np.argsort(keys, kind="stable")]
 
 
+def _neumaier(total: float, comp: float, blocks: np.ndarray):
+    """Neumaier-compensated running sum of the nonnegative blocks from the
+    state (total, comp): arrays of the totals and the compensations before
+    each block, and after the last one.
+
+    It equals the orbit-by-orbit loop bit for bit: np.add.accumulate adds in
+    order, and each error term is the loop's own branch on which of total
+    and block is larger, both nonnegative."""
+    totals = np.add.accumulate(np.concatenate(([total], blocks)))
+    before, after = totals[:-1], totals[1:]
+    errors = np.where(before >= blocks, (before - after) + blocks,
+                      (blocks - after) + before)
+    return totals, np.add.accumulate(np.concatenate(([comp], errors)))
+
+
 def _fill(values, cum, at, v, base, inv_sq, takes, ends, p0, p1) -> None:
     """Write the band's points p0 .. p1 - 1 to positions at + p0 ..: orbit
     i has points ends[i] - takes[i] .. ends[i] - 1, with sigma v[i] and
@@ -471,17 +492,7 @@ class _Walk:
             # and the direct evaluation; clamp to keep the sequence exactly
             # nonincreasing
             v = np.minimum.accumulate(np.concatenate(([self.last], 1.0 / w)))[1:]
-            bases, totals = array("d"), array("d")  # doubles, not float objects
-            total, comp = self.total, self.comp
-            for block in (inv_sq * takes).tolist():
-                bases.append(total + comp)
-                totals.append(total)
-                t = total + block
-                if total >= block:  # both nonnegative: |total| >= |block|
-                    comp += (total - t) + block
-                else:
-                    comp += (block - t) + total
-                total = t
+            totals, comps = _neumaier(self.total, self.comp, inv_sq * takes)
             p0 = min(self.used, int(ends[-1]))
             p1 = min(int(ends[-1]), p0 + goal - self.filled)
             # refuse on the terms written only: the orbits up to the one of
@@ -490,15 +501,16 @@ class _Walk:
             if not (np.isfinite(inv_sq[: i + 1]).all() and math.isfinite(
                     totals[i] + inv_sq[i] * (p1 - ends[i] + takes[i]))):
                 raise CumSumOverflowError("cumsum overflow; reduce N or s")
-            _fill(values, cum, at - p0, v, np.frombuffer(bases), inv_sq, takes,
-                  ends, p0, p1)
+            _fill(values, cum, at - p0, v, totals[:-1] + comps[:-1], inv_sq,
+                  takes, ends, p0, p1)
             at += p1 - p0
             self.filled += p1 - p0
             if p1 < ends[-1]:  # stopped inside the band: keep the state before it
                 self.used = p1
                 return
             self.used -= p0
-            self.lo, self.total, self.comp, self.last = hi, total, comp, float(v[-1])
+            self.lo, self.last = hi, float(v[-1])
+            self.total, self.comp = float(totals[-1]), float(comps[-1])
             self.axis = max(self.axis, int(reps[:, 0].max()))
             self.orbits += len(reps)
 
@@ -560,37 +572,66 @@ def count_leq(spec: WeightSpec, t: float) -> int:
     return rec(0, 1)
 
 
-def sigma_bruteforce(
-    spec: WeightSpec, n_max: int, box_radius: int
-) -> SigmaPrefix:
-    """Rearrangement prefix by full-box evaluation (test oracle).
-
-    Evaluates log omega over |k|_inf <= box_radius with vectorized
-    arithmetic, partial-sorts, and certifies that the N-th value could not
-    live outside the box: every outside point clamps onto the boundary shell
-    without increasing 1/omega, so sigma_N must strictly beat the best shell
-    value.  Raises BoxTooSmallError otherwise.  Cumulative sums use plain
-    np.cumsum; this path is an oracle, not a production kernel.
-    """
+def _check_box(spec: WeightSpec, n_max: int, box_radius: int) -> int:
+    """The oracle's refusals that need no evaluation: n_max and the radius
+    below 1, a box above the cap and a box of fewer than n_max points.
+    Returns the radius."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     R = int(box_radius)
     if R < 1:
         raise ValueError("box_radius must be >= 1")
-    lw = log_weight_box(spec, R)
-    flat = lw.ravel()
-    if flat.size < n_max:
+    size = box_size(spec, R)
+    if size < n_max:
         raise BoxTooSmallError(
-            f"box too small: only {flat.size} points for n_max={n_max}"
+            f"box too small: only {size} points for n_max={n_max}"
         )
-    sel = np.sort(np.partition(flat, n_max - 1)[:n_max])
+    return R
+
+
+def sigma_bruteforce(
+    spec: WeightSpec, n_max: int, box_radius: int
+) -> SigmaPrefix:
+    """Rearrangement prefix by full-box evaluation (test oracle).
+
+    Evaluates log omega at every point of |k|_inf <= box_radius with
+    vectorized arithmetic, keeps the n_max smallest, sorts them, and
+    certifies that the N-th value could not live outside the box: every
+    outside point clamps onto the boundary shell without increasing
+    1/omega, so sigma_N must strictly beat the best shell value.  Raises
+    BoxTooSmallError otherwise, and refuses a box above the cap or of
+    fewer than n_max points before evaluating any.  The box is evaluated a
+    slab of first coordinates at a time, about max(n_max, ``_SLAB``) points
+    and at least one face, so memory is O(n_max + slab), not O(box); the
+    result is the one the whole box at once gives, bit for bit.  Cumulative
+    sums use plain np.cumsum; this path is an oracle, not a production
+    kernel.
+    """
+    R = _check_box(spec, n_max, box_radius)
+    face = (2 * R + 1) ** (spec.d - 1)
+    width = max(1, max(n_max, _SLAB) // face)
+    kept = np.empty(0)
     shell_min = math.inf
-    for ax in range(spec.d):
-        sl: list = [slice(None)] * spec.d
-        sl[ax] = 0
-        shell_min = min(shell_min, float(np.min(lw[tuple(sl)])))
-        sl[ax] = -1
-        shell_min = min(shell_min, float(np.min(lw[tuple(sl)])))
+    for lo in range(-R, R + 1, width):
+        slab = log_weight_box(spec, R, range(lo, min(lo + width, R + 1)))
+        # the faces k_1 = -R and k_1 = R, and the faces of the other axes
+        faces = [slab[0]] if lo == -R else []
+        if lo + width > R:
+            faces.append(slab[-1])
+        for ax in range(1, spec.d):
+            faces += [slab.take(0, axis=ax), slab.take(-1, axis=ax)]
+        shell_min = min([shell_min, *(float(np.min(f)) for f in faces)])
+        # the n_max smallest of the points so far: a multiset, whichever
+        # order the slabs come in.  A point above the n_max-th smallest so
+        # far cannot join it, and one equal to it would add an equal value
+        points = slab.ravel()
+        if len(kept) == n_max:
+            points = points[points < kept[-1]]
+        kept = np.concatenate((kept, points))
+        if len(kept) >= n_max:
+            kept.partition(n_max - 1)
+            kept = kept[:n_max].copy()
+    sel = np.sort(kept)
     if not sel[-1] < shell_min:
         raise BoxTooSmallError(
             "box too small: boundary shell reaches the requested prefix "

@@ -43,7 +43,8 @@ import numpy as np
 
 from .common import Family
 
-# Largest tensor the vectorized box evaluation will materialize.
+# Largest box the brute-force oracle evaluates.  It streams the box in
+# slabs, so this bounds its time (every point is evaluated), not its memory.
 _MAX_BOX_ELEMENTS = 200_000_000
 
 _LOG_MAX_FLOAT = math.log(sys.float_info.max)  # ~709.78
@@ -440,48 +441,57 @@ class RepArrays:
         return out, 1e-9 * out + 1e-323
 
 
-def _broadcast_sum(f: np.ndarray, d: int) -> np.ndarray:
-    out = f
+def _over_box(f: np.ndarray, rows: slice, d: int, op=np.add) -> np.ndarray:
+    """op(op(f[i], f[j]), f[k]) ..., left to right, for i in the slab
+    ``rows`` of first coordinates and every other coordinate j, k, ...: f
+    holds one term per coordinate value."""
+    out = f[rows]
     for _ in range(d - 1):
-        out = out[..., None] + f
+        out = op(out[..., None], f)
     return out
 
 
-def _broadcast_max(f: np.ndarray, d: int) -> np.ndarray:
-    out = f
-    for _ in range(d - 1):
-        out = np.maximum(out[..., None], f)
-    return out
-
-
-def log_weight_box(spec: WeightSpec, radius: int) -> np.ndarray:
-    """log omega over the full box |k_i| <= radius, shape (2R+1,)^d.
-
-    Vectorized companion of ``WeightSpec.log_evaluate`` (same formulas,
-    numpy arithmetic); used by the brute-force rearrangement oracle.
-    """
+def box_size(spec: WeightSpec, radius: int) -> int:
+    """(2R+1)^d, the points of the box |k_i| <= radius; a box above the cap
+    is refused."""
     R = int(radius)
     if R < 0:
         raise ValueError("radius must be >= 0")
-    if (2 * R + 1) ** spec.d > _MAX_BOX_ELEMENTS:
+    size = (2 * R + 1) ** spec.d
+    if size > _MAX_BOX_ELEMENTS:
         raise ValueError(
             f"box too large: (2*{R}+1)^{spec.d} elements exceed the cap"
         )
+    return size
+
+
+def log_weight_box(spec: WeightSpec, radius: int,
+                   first: range | None = None) -> np.ndarray:
+    """log omega over the box |k_i| <= radius, shape (2R+1,)^d, or over its
+    slab of the first coordinates ``first`` (a step-1 subrange of
+    range(-R, R+1)), shape (len(first),) + (2R+1,)^(d-1).
+
+    Vectorized companion of ``WeightSpec.log_evaluate`` (same formulas,
+    numpy arithmetic); used by the brute-force rearrangement oracle.  Every
+    element goes through the same operations in the same order whichever
+    slab it is evaluated in, so a slab equals those rows of the box bit for
+    bit.
+    """
+    R = int(radius)
+    box_size(spec, R)
     a = np.abs(np.arange(-R, R + 1, dtype=np.int64)).astype(np.float64)
-    fam = spec.family
+    rows = slice(None) if first is None else slice(first.start + R, first.stop + R)
+    fam, d = spec.family, spec.d
     if fam is Family.MIXED_SR:
-        f = (spec.s / spec.r) * np.log1p(a**spec.r)
-        return _broadcast_sum(f, spec.d)
+        return _over_box((spec.s / spec.r) * np.log1p(a**spec.r), rows, d)
     if fam is Family.MIXED_INF:
-        f = spec.s * np.log(np.maximum(a, 1.0))
-        return _broadcast_sum(f, spec.d)
+        return _over_box(spec.s * np.log(np.maximum(a, 1.0)), rows, d)
     if fam is Family.ISOTROPIC_SR:
-        t = _broadcast_sum(a**spec.r, spec.d)
-        return (spec.s / spec.r) * np.log1p(t)
+        return (spec.s / spec.r) * np.log1p(_over_box(a**spec.r, rows, d))
     if fam is Family.ISOTROPIC_INF:
-        m = _broadcast_max(a, spec.d)
+        m = _over_box(a, rows, d, np.maximum)
         return spec.s * np.log(np.maximum(m, 1.0))
     # h1-ratio
-    g = _broadcast_sum(0.5 * spec.s * np.log1p(a * a), spec.d)
-    q = _broadcast_sum(a * a, spec.d)
+    g = _over_box(0.5 * spec.s * np.log1p(a * a), rows, d)
+    q = _over_box(a * a, rows, d)
     return g - 0.5 * np.log1p(q)

@@ -8,6 +8,7 @@ from wienerwidths import (
     CumSumOverflowError,
     SigmaPrefix,
     iter_orbits,
+    log_weight_box,
     orbit_multiplicity,
     sigma_bruteforce,
     sigma_prefix,
@@ -55,6 +56,43 @@ def heap_prefix(spec, n_max):
         if filled == n_max:
             break
     return SigmaPrefix(spec, values, cum)
+
+
+def full_box_bruteforce(spec, n_max, box_radius):
+    """``sigma_bruteforce`` on the whole box at once: evaluate every point
+    of |k|_inf <= box_radius, partial-sort the flat array, and certify on
+    the minimum over the 2d faces.  The slab-streamed oracle must equal it
+    bit for bit, refusals included."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    R = int(box_radius)
+    if R < 1:
+        raise ValueError("box_radius must be >= 1")
+    lw = log_weight_box(spec, R)
+    flat = lw.ravel()
+    if flat.size < n_max:
+        raise BoxTooSmallError(
+            f"box too small: only {flat.size} points for n_max={n_max}"
+        )
+    sel = np.sort(np.partition(flat, n_max - 1)[:n_max])
+    shell_min = math.inf
+    for ax in range(spec.d):
+        sl = [slice(None)] * spec.d
+        sl[ax] = 0
+        shell_min = min(shell_min, float(np.min(lw[tuple(sl)])))
+        sl[ax] = -1
+        shell_min = min(shell_min, float(np.min(lw[tuple(sl)])))
+    if not sel[-1] < shell_min:
+        raise BoxTooSmallError(
+            "box too small: boundary shell reaches the requested prefix "
+            f"(sigma_N log-weight {sel[-1]:.6g} vs shell minimum "
+            f"{shell_min:.6g}); increase box_radius"
+        )
+    inv_sq = np.exp(2.0 * sel)
+    cum = np.cumsum(inv_sq)
+    if not math.isfinite(float(cum[-1])):
+        raise CumSumOverflowError("cumsum overflow; reduce N or s")
+    return SigmaPrefix(spec, np.exp(-sel), cum)
 
 
 def array_prefix(spec, n_max):

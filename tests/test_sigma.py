@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from wienerwidths import (
     sigma_bruteforce,
     sigma_prefix,
 )
-from wienerwidths.sigma import _multiplicities
-from conftest import heap_prefix, oracle_prefix
+from wienerwidths import sigma
+from wienerwidths.sigma import _multiplicities, _neumaier
+from conftest import full_box_bruteforce, heap_prefix, oracle_prefix
 
 
 def test_prefix_mixed_inf_d1():
@@ -321,6 +323,90 @@ def test_bruteforce_example_radius():
     bf = sigma_bruteforce(spec, 10000, 86)
     np.testing.assert_allclose(bf.values, fast.values, rtol=1e-12)
     np.testing.assert_allclose(bf.cum_inv_sq, fast.cum_inv_sq, rtol=1e-12)
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A spec, a radius and an n_max around the box size: integer s ties
+    whole classes, and a near-flat h1-ratio ties by rounding."""
+    family = draw(st.sampled_from(list(Family)))
+    d = draw(st.integers(1, 4))
+    if family is Family.H1_RATIO:
+        s = draw(st.sampled_from([1 + 1e-12, 1.5, 2.0, 3.0]))
+    else:
+        s = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+    r = None
+    if family in (Family.MIXED_SR, Family.ISOTROPIC_SR):
+        r = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    spec = WeightSpec(family, s=s, d=d, r=r)
+    radius = draw(st.integers(1, {1: 400, 2: 40, 3: 12, 4: 6}[d]))
+    size = (2 * radius + 1) ** d
+    n_max = draw(st.integers(1, size // 2) | st.integers(1, size + 2))
+    return spec, radius, n_max
+
+
+def _answer(oracle, spec, n_max, radius):
+    """The oracle's values and sums as bytes, or its refusal."""
+    try:
+        p = oracle(spec, n_max, radius)
+    except (BoxTooSmallError, CumSumOverflowError) as exc:
+        return type(exc), str(exc)
+    return p.values.tobytes(), p.cum_inv_sq.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(case=_oracle_cases(), slab=st.integers(1, 5000))
+def test_bruteforce_slabs_equal_the_full_box(case, slab):
+    # slabs of slab points or n_max, at least one face: from one first
+    # coordinate at a time to the whole box
+    spec, radius, n_max = case
+    with mock.patch.object(sigma, "_SLAB", slab):
+        got = _answer(sigma_bruteforce, spec, n_max, radius)
+    assert got == _answer(full_box_bruteforce, spec, n_max, radius)
+
+
+def test_bruteforce_refusals_equal_the_full_box():
+    spec = WeightSpec(Family.MIXED_SR, s=1.5, d=3, r=2.0)
+    # too few points, and a shell that reaches the prefix
+    for n_max, radius in ((344, 3), (10000, 64)):
+        got = _answer(sigma_bruteforce, spec, n_max, radius)
+        assert got[0] is BoxTooSmallError
+        assert got == _answer(full_box_bruteforce, spec, n_max, radius)
+    for oracle in (sigma_bruteforce, full_box_bruteforce):
+        with pytest.raises(ValueError, match="box too large"):
+            oracle(spec, 10, 300)
+
+
+def _neumaier_loop(total, comp, blocks):
+    """The compensated sum a block at a time: the totals and compensations
+    before each block and after the last."""
+    totals, comps = [total], [comp]
+    for block in blocks:
+        t = total + block
+        if total >= block:
+            comp += (total - t) + block
+        else:
+            comp += (block - t) + total
+        total = t
+        totals.append(total)
+        comps.append(comp)
+    return totals, comps
+
+
+_BLOCKS = (st.floats(0, 1e-300) | st.floats(0, 1) | st.floats(0, 1e20)
+           | st.floats(0, 1e308) | st.just(math.inf))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(total=_BLOCKS, comp=st.floats(-1e20, 1e20),
+       blocks=st.lists(_BLOCKS, max_size=60))
+def test_compensated_sum_equals_the_loop(total, comp, blocks):
+    # mixed magnitudes, and sums that overflow to inf and then to nan errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals, comps = _neumaier(total, comp, np.array(blocks, dtype=float))
+    ref_totals, ref_comps = _neumaier_loop(total, comp, blocks)
+    assert totals.tobytes() == np.array(ref_totals).tobytes()
+    assert comps.tobytes() == np.array(ref_comps).tobytes()
 
 
 def test_bruteforce_matches_fast_path_random(rng):

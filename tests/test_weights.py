@@ -122,6 +122,27 @@ def test_log_weight_box_matches_pointwise():
                                        rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("spec", [
+    *(WeightSpec(family, s=1.5, d=d, r=r)
+      for family, r in ((Family.MIXED_SR, 2.0), (Family.MIXED_INF, None),
+                        (Family.ISOTROPIC_SR, 1.5), (Family.ISOTROPIC_INF, None),
+                        (Family.H1_RATIO, None))
+      for d in (1, 2, 3, 4)),
+    WeightSpec(Family.H1_RATIO, s=1 + 1e-12, d=3),
+], ids=lambda spec: f"{spec.family.value}-d{spec.d}-s{spec.s}")
+def test_log_weight_box_slabs_are_its_rows(spec):
+    # the box oracle evaluates slabs of first coordinates: each must equal
+    # its rows of the whole box bit for bit
+    R = {1: 300, 2: 40, 3: 12, 4: 5}[spec.d]
+    box = log_weight_box(spec, R)
+    for width in (1, 3, 7, 64, 2 * R + 1):
+        for lo in range(-R, R + 1, width):
+            hi = min(lo + width, R + 1)
+            slab = log_weight_box(spec, R, range(lo, hi))
+            assert slab.shape == (hi - lo,) + box.shape[1:]
+            assert slab.tobytes() == box[lo + R:hi + R].tobytes(), (width, lo)
+
+
 def test_validation_errors():
     with pytest.raises(ValueError, match="d must be a positive integer"):
         WeightSpec(Family.MIXED_INF, s=1.0, d=0)
