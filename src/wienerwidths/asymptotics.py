@@ -77,6 +77,10 @@ _SERIES_K_CAP = 50_000_000
 
 _LOG_FLOAT_MIN = math.log(sys.float_info.min)  # ~ -708.40, least normal float
 
+# Largest d whose (d-1)! mix-l2-sigma forms, about 0.2 s of int products; a
+# value at a larger d is a normal float only for s below about 7e-4.
+_MIX_D_CAP = 100_000
+
 
 def _need(value, what: str, cond: bool, constraint: str) -> None:
     if value is None:
@@ -113,14 +117,36 @@ def _formula(name: str, s: float | None, d: int | None, tol: float) -> float:
         _need(d, "d", d is not None and d >= 1, "mix-l2-sigma requires d >= 1")
         _need(s, "s", s is not None and s > 0, "mix-l2-sigma requires s > 0")
         # 2^d / (d-1)! is one int/int division, so the base is correctly
-        # rounded.  A base below the normal floats is refused, at once where
-        # its log lies well below them, so a large d forms no factorial; a
-        # power that underflows to 0 is refused as one that overflows.
-        if d * math.log(2.0) - math.lgamma(d) < _LOG_FLOAT_MIN - 1.0:
-            raise _out_of_range(name, s, d)
-        base = 2**d / math.factorial(d - 1)
-        value = base**s
-        if base < sys.float_info.min or value == 0.0:
+        # rounded, and a normal float up to d = 197; a power that underflows
+        # to 0 is refused as one that overflows.  From d = 198 on the base
+        # is below the normal floats, and the power comes from the exact
+        # ratio, 2^e m with m = 2^L / (d-1)! in (1, 2] (L the bit length of
+        # (d-1)!) and e = d - L: m^s 2^(e s), with e s split exactly into
+        # its integer and fractional parts, is within a few ulp (see the
+        # test against mpmath), and refused below the normal floats.  A
+        # value whose log, from lgamma, lies well below them is refused at
+        # once, and no factorial above _MIX_D_CAP is formed.
+        log_base = d * math.log(2.0) - math.lgamma(d)
+        if log_base < _LOG_FLOAT_MIN - 1.0:
+            if s * log_base < _LOG_FLOAT_MIN - 1.0:
+                raise _out_of_range(name, s, d)
+            if d > _MIX_D_CAP:
+                raise ResourceLimitError(
+                    f"mix-l2-sigma forms (d-1)! exactly, up to d = "
+                    f"{_MIX_D_CAP}; got d={d!r} at s={s!r}"
+                )
+        fact = math.factorial(d - 1)
+        base = 2**d / fact
+        if base >= sys.float_info.min:
+            value = base**s
+            if value == 0.0:
+                raise _out_of_range(name, s, d)
+            return value
+        L = fact.bit_length()
+        es = Fraction(s) * (d - L)
+        e = math.floor(es)
+        value = math.ldexp((2**L / fact) ** s * 2.0 ** float(es - e), e)
+        if value < sys.float_info.min:
             raise _out_of_range(name, s, d)
         return value
     if name == "transfer-uv":

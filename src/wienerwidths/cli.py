@@ -23,11 +23,15 @@ true/false, floats with 17 significant digits and '.' decimal separator;
 JSON writes null, true/false and ``repr`` floats, and a JSON table is
 ``json.dumps(payload, indent=2)`` plus a newline.  Output is
 byte-identical across runs.  Tables stream out a block at a time
-(``sigma`` hands over slices of its prefix arrays, the small tables are
+(``sigma`` hands over slices of its prefix arrays, ``width`` slices of the
+float64 arrays that ``widths._width_arrays`` returns, the small tables are
 transposed a block at a time), so peak memory is the prefix, 16 bytes per
-row, plus one block; rows that can fail are all computed before the first
-byte.  Integers may be spelled 1.5e5.  Progress notes go to stderr, and
-so does each warning, as the one line "warning: <category>: <message>".
+row, plus a width's few arrays of 8 bytes per grid entry, plus one block;
+rows that can fail are all computed before the first byte.  An exact
+width's block holds its one value slice as both lower and upper, and the
+writer converts each distinct column of a block once.  Integers may be
+spelled 1.5e5.  Progress notes go to stderr, and so does each warning, as
+the one line "warning: <category>: <message>".
 A width or converge grid enumerates its largest n (or --prefix-n, where
 larger), and a sup width takes more terms as its certificate needs them.
 Prefix lengths above 30,000,000 are refused before any enumeration, and
@@ -68,7 +72,7 @@ from .common import (
     WidthKind,
     sigma_bruteforce,
     sigma_prefix,
-    width,
+    width,  # no subcommand calls it; perfbench's tracer wraps it here
 )
 from .lattice_count import (
     count_A,
@@ -272,7 +276,8 @@ def _emit(
     """Write the table to --output or the current stdout, a block at a time.
 
     A block is one sequence per column, of equal lengths, at most
-    ``_BLOCK`` rows.  Each column's conversion turns it into cells, which
+    ``_BLOCK`` rows.  Each column's conversion turns it into cells (once
+    for a column object a block holds twice, under the same kind), which
     fill every len(columns)-th slot of the block's cell list, and the block
     prints as one ``%`` of the row format, built from the column kinds and
     repeated once per row.  A JSON row carries the ``indent=2`` layout and
@@ -298,8 +303,12 @@ def _emit(
         for block in blocks:
             nrow = len(block[0])
             cells = [None] * (nrow * ncol)
+            done = {}  # (conversion, column) -> cells, once per block
             for j, (f, col) in enumerate(zip(convert, block)):
-                cells[j::ncol] = f(col)
+                key = (f, id(col))
+                if key not in done:
+                    done[key] = f(col)
+                cells[j::ncol] = done[key]
             out.write(((fmt * nrow) % tuple(cells))[skip:])
             skip = 0
         if args.format == "json":
@@ -353,7 +362,7 @@ def _cmd_sigma(args: argparse.Namespace) -> Table:
 
 def _cmd_width(args: argparse.Namespace) -> Table:
     from .sigma import _refuse_above_cap
-    from .widths import check_width, refuse_flat
+    from .widths import _width_arrays, check_width, refuse_flat
 
     spec = _make_spec(args)
     embedding = Embedding(args.embedding)
@@ -364,10 +373,22 @@ def _cmd_width(args: argparse.Namespace) -> Table:
     _refuse_above_cap(n)
     check_width(spec, embedding, kind, ns, args.p)
     refuse_flat(spec, embedding, kind, n_hi)
-    values = width(_prefix(spec, n), embedding, kind, ns, p=args.p)
-    rows = [[n, wv.lower, wv.upper, wv.exact] for n, wv in zip(ns, values)]
-    columns = [("n", _INT), ("lower", _FLOAT), ("upper", _FLOAT), ("exact", _BOOL)]
-    return columns, _column_blocks(rows)
+    lower, upper, exact = _width_arrays(_prefix(spec, n), embedding, kind, ns,
+                                        args.p)
+    # a bracket's upper end is sigma_n or a multiple of it, equal along
+    # runs; an exact pair's block holds its lower slice twice, which _emit
+    # converts once, and by runs it becomes text once instead of being
+    # formatted twice
+    columns = [("n", _INT), ("lower", _FLOAT_RUNS if exact else _FLOAT),
+               ("upper", _FLOAT_RUNS), ("exact", _BOOL)]
+    flags = [exact] * _BLOCK
+
+    def block(lo: int) -> list[Sequence]:
+        low = lower[lo:lo + _BLOCK]
+        up = low if upper is lower else upper[lo:lo + _BLOCK]
+        return [ns[lo:lo + _BLOCK], low, up, flags[:len(low)]]
+
+    return columns, map(block, range(0, len(ns), _BLOCK))
 
 
 def _cmd_converge(args: argparse.Namespace) -> Table:

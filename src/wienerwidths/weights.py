@@ -267,9 +267,12 @@ class RepArrays:
     ``math`` calls and are combined with IEEE + * / sqrt in the scalar
     order; a two-term ``fsum`` is one correctly rounded addition.  Rows the
     scalar code combines otherwise go through the scalar formula: three or
-    more fsum terms, isotropic-sr's inner sum with two nonzero coordinates,
-    and a table entry that overflowed.  mixed-inf's float(prod) ** s and
-    h1-ratio's log1p(ssq) run once per row, through ``map``.
+    more fsum terms (isotropic-sr: three or more nonzero coordinates, or a
+    coordinate from 2^53 on), and a table entry or a sum that overflowed.
+    mixed-inf's float(prod) ** s, h1-ratio's log1p(ssq) and isotropic-sr's
+    outer pow and log (and its (a1/a0)^r) run once per row, through
+    ``map``: numpy's transcendentals may differ from libm's in the last
+    bit.
 
     ``bracket``, ``push`` and ``key`` only bracket: they may use numpy
     transcendentals, which can differ from libm in the last bit, and
@@ -296,10 +299,20 @@ class RepArrays:
             terms = {"key": lambda v: math.log1p(v * v),
                      "val": lambda v: (1.0 + v * v) ** half}
         else:
-            # isotropic-sr: exact on the axes only; "lp" is log v^r
+            # isotropic-sr: "key" and "val" on the axes; for rows with two
+            # nonzero coordinates "pw" is v^r, "lp" is log v^r and "rest"
+            # exp(-lp), the scalar log formula's terms at its largest
+            # coordinate v
+            def rest(v: int) -> float:
+                # v = 0 is no row's largest coordinate; its entry is 0.0
+                lm = r * math.log(v) if v else math.inf
+                return math.exp(-lm) if lm < _LOG_MAX_FLOAT else 0.0
+
             terms = {"key": lambda v: spec._log_evaluate_abs([v] + zeros),
                      "val": lambda v: spec.evaluate([v] + zeros),
-                     "lp": lambda v: r * math.log(v) if v else -math.inf}
+                     "lp": lambda v: r * math.log(v) if v else -math.inf,
+                     "pw": lambda v: float(v) ** r,
+                     "rest": rest}
         self._terms = terms
         self._tables = {name: np.empty(0) for name in terms}
 
@@ -326,13 +339,31 @@ class RepArrays:
 
     # -- exact ---------------------------------------------------------------
 
+    def _pairs(self, reps: np.ndarray) -> np.ndarray:
+        """isotropic-sr rows with exactly two nonzero coordinates, both below
+        2^53, where numpy's float division a1/a0 is Python's int/int."""
+        pick = (reps[:, 1] > 0) & (reps[:, 0] < 2**53)
+        if self.spec.d > 2:
+            pick &= reps[:, 2] == 0
+        return pick
+
     def log_weights(self, reps: np.ndarray) -> np.ndarray:
         """``WeightSpec.log_evaluate`` of every row, bit for bit."""
         spec, fam = self.spec, self.spec.family
         if fam in (Family.ISOTROPIC_INF, Family.ISOTROPIC_SR):
             out = self._at("key", reps[:, 0])
             if fam is Family.ISOTROPIC_SR and spec.d > 1:
-                _per_row(out, reps, reps[:, 1] > 0, spec._log_evaluate_abs)
+                # (s/r) (lm + log(t + rest)) with t = fsum(1, (a1/a0)^r),
+                # one IEEE addition; the pow and the log through map
+                pairs = self._pairs(reps)
+                a0, a1 = reps[pairs, 0], reps[pairs, 1]
+                r = spec.r
+                t = 1.0 + _map(lambda q: q ** r, (a1 / a0).tolist(), a0.size)
+                inner = _map(math.log, (t + self._at("rest", a0)).tolist(),
+                             a0.size)
+                out[pairs] = (spec.s / r) * (self._at("lp", a0) + inner)
+                _per_row(out, reps, (reps[:, 1] > 0) & ~pairs,
+                         spec._log_evaluate_abs)
             return out
         # the fsum terms; mixed-inf's term is 0.0 where the scalar code
         # leaves v <= 1 out of the sum, which does not change an fsum
@@ -359,7 +390,17 @@ class RepArrays:
         elif fam in (Family.ISOTROPIC_INF, Family.ISOTROPIC_SR):
             out = self._at("val", reps[:, 0])
             if spec.d > 1 and fam is Family.ISOTROPIC_SR:
-                scalar = reps[:, 1] > 0
+                # (1 + t)^(s/r) with t = fsum(a0^r, a1^r), one IEEE addition,
+                # and nan where fsum raises on its overflow; the pow through
+                # map
+                pairs = self._pairs(reps)
+                pw = self._at("pw", reps[pairs, :2])
+                with np.errstate(over="ignore"):
+                    t = pw[:, 0] + pw[:, 1]
+                t[np.isinf(t)] = math.nan
+                e = spec.s / spec.r
+                out[pairs] = _map(lambda x: (1.0 + x) ** e, t.tolist(), t.size)
+                scalar = (reps[:, 1] > 0) & ~pairs
         else:
             val = self._at("val", reps)
             out = val[:, 0]

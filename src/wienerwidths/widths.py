@@ -30,7 +30,12 @@ and admit closed formulas in sigma:
         [sup_h formula, 2^(d/2) sigma_n].
 
 ``width(prefix, embedding, kind, ns, p=None)`` evaluates one embedding and
-kind on a whole n grid, one ``WidthValue`` per n.
+kind on a whole n grid, one ``WidthValue`` per n.  It wraps the array core
+``_width_arrays``, which returns float64 arrays of the lower and upper ends
+in grid order (for an exact pair one array serves as both) and is what the
+CLI's width table streams from: one computation for both callers.  The sum
+formula keeps Python's float power (libm's pow), mapped over the array,
+since numpy's ``** -0.5`` differs from it in the last bit.
 
 The sup over h is evaluated with a certified scan: after scanning up to h,
 every later candidate h' > h satisfies
@@ -73,15 +78,17 @@ the prefix cap, into a buffer of the block's h on, and the pass reads on
 with the same rows and window: the certificate alone decides how far a
 prefix reaches.  A prefix built from arrays raises ``sup_over_h``'s
 PrefixTooShortError there instead.
-The pass never calls ``sup_over_h``, which stays as the independent per-n
-reference, and every value is the one ``sup_over_h(prefix, n)[0]`` returns,
-to the last bit.
+The pass fills one array over the sorted distinct grid, takes its square
+roots at once (IEEE sqrt, correctly rounded as ``math.sqrt`` is) and maps
+the results back to the grid's order, repeats and all.  It never calls
+``sup_over_h``, which stays as the independent per-n reference, and every
+value is the one ``sup_over_h(prefix, n)[0]`` returns, to the last bit.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -232,7 +239,8 @@ def check_width(
         raise ValueError(f"unknown embedding: {embedding!r}")
     if not isinstance(kind, WidthKind):
         raise ValueError(f"unknown width kind: {kind!r}")
-    for n in ns:
+    # a range holds ints, and with a positive step its first is its least
+    for n in ns[:1] if isinstance(ns, range) and ns.step > 0 else ns:
         if not (isinstance(n, int) and n >= 1):
             raise ValueError(f"n must be a positive integer, got {n!r}")
     if embedding is Embedding.A_TO_LP:
@@ -309,50 +317,80 @@ def width(
     when the prefix ends before max(ns), with ``required = max(ns)``, or
     when a prefix built from arrays ends before a sup certificate fires.
     """
+    lower, upper, exact = _width_arrays(prefix, embedding, kind, ns, p)
+    lows = lower.tolist()
+    ups = lows if upper is lower else upper.tolist()
+    return [WidthValue(lo, up, exact) for lo, up in zip(lows, ups)]
+
+
+def _width_arrays(
+    prefix: SigmaPrefix,
+    embedding: Embedding,
+    kind: WidthKind,
+    ns: Sequence[int],
+    p: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``width`` as float64 arrays in ``ns`` order: (lower, upper, exact),
+    where ``upper`` is the ``lower`` array itself for an exact pair.  Raises
+    what ``width`` raises."""
     check_width(prefix.spec, embedding, kind, ns, p)
-    if ns:
+    if not ns:
+        idx = np.empty(0, dtype=np.int64)
+    elif isinstance(ns, range):
+        # the largest n is an end: a range is not walked
+        _require_n(prefix, max(ns[0], ns[-1]))
+        idx = np.arange(ns.start, ns.stop, ns.step, dtype=np.int64)
+    else:
         _require_n(prefix, max(ns))
-
-    def sigma(n: int) -> float:
-        return float(prefix.values[n - 1])
-
+        idx = np.array(ns, dtype=np.int64)
+    sigma = prefix.values[idx - 1]
     if embedding in (Embedding.A_TO_A, Embedding.F_TO_L2, Embedding.HMIX_TO_H1):
-        return [WidthValue(v, v, True) for v in map(sigma, ns)]
+        return sigma, sigma, True
     # the L_2-target width of this kind
     if needs_sup(embedding, kind):
-        l2 = _sup_values(prefix, ns)
+        l2 = _sup_values(prefix, idx)
     else:
-        l2 = [float(prefix.cum_inv_sq[n - 1]) ** -0.5 for n in ns]
+        # libm's pow, through Python's float power: numpy's ** -0.5
+        # differs from it in the last bit
+        l2 = np.fromiter(
+            map(pow, prefix.cum_inv_sq[idx - 1].tolist(), repeat(-0.5)),
+            np.float64, idx.size,
+        )
     if is_exact(embedding, kind):
-        return [WidthValue(v, v, True) for v in l2]
+        return l2, l2, True
     if embedding is Embedding.CMIX_TO_L2:
-        scale = 2.0 ** (prefix.spec.d / 2.0)
-        return [WidthValue(v, scale * sigma(n), False) for n, v in zip(ns, l2)]
-    # a-to-linf, a-to-lp
-    return [WidthValue(v, sigma(n), False) for n, v in zip(ns, l2)]
+        sigma *= 2.0 ** (prefix.spec.d / 2.0)
+    # a-to-linf, a-to-lp and the u-kinds of cmix-to-l2
+    if (l2 > sigma).any():
+        raise ValueError("width bracket inverted")
+    return l2, sigma, False
 
 
-def _sup_values(prefix: SigmaPrefix, ns: Sequence[int]) -> list[float]:
-    """``sup_over_h(prefix, n)[0]`` for every n of ``ns``, in input order, by
-    the warm-started, blocked grid pass of the module docstring."""
+def _sup_values(prefix: SigmaPrefix, ns: np.ndarray) -> np.ndarray:
+    """``sup_over_h(prefix, n)[0]`` for every n of the int64 array ``ns``,
+    in its order, by the warm-started, blocked grid pass of the module
+    docstring."""
     N = prefix.n_max
     S = prefix.cum_inv_sq
     sig = prefix.values
     base = 0  # S and sig hold h = base + 1 .. N
     walk = None
-    order = sorted(set(ns))
-    found: dict[int, float] = {}
+    # the sorted distinct grid
+    order = np.sort(ns)
+    if order.size:
+        order = order[np.flatnonzero(np.diff(order, prepend=0))]
+    found = np.empty(len(order))  # the sup of (h - n + 1) / S_h at each n
     warm = 1  # maximizer of the last n answered
     step = _BLOCK_WIDTH  # the first window; later ones follow the last block
     i = 0
     while i < len(order):
-        lo = start = max(order[i], warm)
+        lo = start = max(int(order[i]), warm)
         end = lo + step - 1  # the window's last h
         hi = min(end, N)
         # a row with n > hi has no h >= n in the first window and cannot
         # certify in it
-        j = bisect.bisect_right(order, hi, i, min(i + _BLOCK_ROWS, len(order)))
-        rows = np.array(order[i:j])
+        rows = order[i : i + _BLOCK_ROWS]
+        rows = rows[: np.searchsorted(rows, hi, side="right")]
         best = np.full(len(rows), -math.inf)
         arg = np.zeros(len(rows), dtype=np.int64)
         while True:
@@ -404,13 +442,15 @@ def _sup_values(prefix: SigmaPrefix, ns: Sequence[int]) -> list[float]:
                 end = hi + step
             lo = hi + 1
             hi = min(end, N)
-        found.update(zip(order[i : i + k], map(math.sqrt, best[:k].tolist())))
+        found[i : i + k] = best[:k]
         warm = int(arg[k - 1])
         i += k
         # twice the span this block used, from its first h to one past its
         # last maximizer, where the certificate fires
         step = min(max(2 * (warm + 2 - start), 2 * _BLOCK_ROWS), _BLOCK_WIDTH)
-    return [found[n] for n in ns]
+    # IEEE sqrt, correctly rounded as math.sqrt is
+    np.sqrt(found, out=found)
+    return found[np.searchsorted(order, ns)]
 
 
 def _require_family(spec: WeightSpec, family: Family, emb: Embedding) -> None:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -49,12 +50,36 @@ def test_mix_l2_sigma_base_is_correctly_rounded():
 
 
 def test_mix_l2_sigma_refuses_outside_the_normal_floats():
-    # (d-1)! is never formed for a d whose base is far below the normal
+    # (d-1)! is never formed for a d whose value is far below the normal
     # floats, so d = 1e9 is refused at once
-    for s, d in ((2.0, 171), (1.0, 198), (0.01, 230), (1.0, 2000),
+    for s, d in ((2.0, 171), (1.0, 198), (0.999, 198), (1.0, 2000),
                  (1.0, 10**9), (1.0, 10**400)):
         with pytest.raises(ValueError, match="leaves the float range"):
             constant("mix-l2-sigma", s=s, d=d)
+    # above the largest factorial formed, where only s below about 7e-4
+    # gives a normal float
+    for s, d in ((1e-12, 10**9), (1e-4, 100_001)):
+        with pytest.raises(ResourceLimitError, match="up to d = 100000"):
+            constant("mix-l2-sigma", s=s, d=d)
+
+
+def test_mix_l2_sigma_below_the_normal_floats_against_mpmath():
+    # from d = 198 on the base 2^d/(d-1)! is below the normal floats, yet
+    # for s < 1 the value can be a normal float: (2^230/229!)^0.01 is about
+    # 1.85e-4.  The power of the exact ratio is within 3 ulp of the value
+    # at 300 bits (1.9 ulp at most on this grid), over s from the edge of
+    # the normal floats down to 1e-9 of it
+    import mpmath
+
+    assert constant("mix-l2-sigma", s=0.01, d=230) == 0.00018496452515192151
+    with mpmath.workprec(300):
+        for d in [*range(198, 300), 500, 1000, 5000, 20000, 100_000]:
+            log_q = d * mpmath.log(2) - mpmath.loggamma(d)
+            for frac in (0.999, 0.9, 0.5, 0.1, 0.01, 1e-3, 1e-6, 1e-9):
+                s = float(frac * math.log(sys.float_info.min) / log_q)
+                got = constant("mix-l2-sigma", s=s, d=d)
+                exact = mpmath.exp(s * log_q)
+                assert abs(mpmath.mpf(got) - exact) <= 3 * math.ulp(got), (d, s)
 
 
 def test_transfer_uv_against_mpmath():

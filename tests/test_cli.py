@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wienerwidths import cli, lattice_count, sigma
+from wienerwidths import Embedding, WidthKind, cli, lattice_count, sigma, width
 from wienerwidths.cli import _BLOCK, _parse_int, main
 
 CLI = [sys.executable, "-m", "wienerwidths.cli"]
@@ -689,6 +689,39 @@ def test_writer_matches_reference(argv, fmt):
     assert empty == _reference(args.command, fmt, columns, [])
 
 
+# a weight every embedding of the key takes (h1-ratio for the H^1
+# embeddings, the m = 1 mixed weight for cmix-to-l2)
+_WIDTH_WEIGHTS = {
+    "amix-to-h1": ["--family", "h1-ratio", "--s", "2", "--d", "2"],
+    "hmix-to-h1": ["--family", "h1-ratio", "--s", "2", "--d", "2"],
+    "cmix-to-l2": ["--family", "mixed-sr", "--s", "1", "--r", "2", "--d", "2"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", [k.value for k in WidthKind])
+@pytest.mark.parametrize("embedding", [e.value for e in Embedding])
+def test_width_table_matches_width_values(embedding, kind, fmt, capsys):
+    # the width table against csv.writer and json.dumps of width()'s
+    # WidthValues: exact pairs (one value slice printed twice) and brackets
+    # (upper printed by runs), on a repeated, unsorted grid and on a range
+    # past one block
+    weight = _WIDTH_WEIGHTS.get(embedding, _MIXED_INF)
+    extra = ["--p", "4"] if embedding == "a-to-lp" else []
+    for grid in ("40,3,3,1..25,7,40,2", f"1..{_BLOCK + 9}"):
+        argv = ["width", *weight, "--embedding", embedding, "--kind", kind,
+                "--n", grid, *extra, "--format", fmt]
+        args = cli._build_parser().parse_args(argv)
+        ns = cli._parse_int_list(grid)
+        prefix = sigma.sigma_prefix(cli._make_spec(args), max(ns))
+        values = width(prefix, Embedding(embedding), WidthKind(kind), ns,
+                       p=args.p)
+        rows = [[n, w.lower, w.upper, w.exact] for n, w in zip(ns, values)]
+        columns = [(name, None) for name in ("n", "lower", "upper", "exact")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == _reference("width", fmt, columns, rows)
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _KIND_VALUES = {
     cli._INT: st.integers(),
@@ -812,6 +845,19 @@ def test_sigma_table_memory_is_bounded():
         small = _peak_rss_mb([*sigma, "--n", "10", "--format", fmt])
         large = _peak_rss_mb([*sigma, "--n", "3e5", "--format", fmt])
         assert large - small < bound_mb, (fmt, small, large)
+
+
+def test_width_grid_memory_is_bounded():
+    # a width grid streams from a few float64 arrays, 8 bytes per entry
+    # each, next to the prefix (the sup certificate reads it to about
+    # 1.5 n, 16 bytes per term): 1..2e5 peaks about 15 MB above a 10-row
+    # grid, and a table of per-n Python rows and WidthValues reads 63 MB
+    sup = ["width", "--family", "mixed-inf", "--s", "1", "--d", "1",
+           "--embedding", "a-to-l2", "--kind", "approximation"]
+    for fmt in ("csv", "json"):
+        small = _peak_rss_mb([*sup, "--n", "1..10", "--format", fmt])
+        large = _peak_rss_mb([*sup, "--n", "1..2e5", "--format", fmt])
+        assert large - small < 30, (fmt, small, large)
 
 
 @pytest.mark.parametrize("weight, n", [

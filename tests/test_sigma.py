@@ -154,6 +154,14 @@ def _clamps(spec, n_max):
     (WeightSpec(Family.MIXED_SR, s=1e-12, d=1, r=1e-12), 10_000),
     (WeightSpec(Family.MIXED_SR, s=1e-12, d=2, r=1e-12), 10_000),
     (WeightSpec(Family.ISOTROPIC_SR, s=1e-12, d=2, r=1e-12), 10_000),
+    # isotropic-sr rows with two nonzero coordinates come from tables,
+    # rows with three or more from the scalar formula
+    (WeightSpec(Family.ISOTROPIC_SR, s=1.5, d=2, r=2.0), 20_000),
+    (WeightSpec(Family.ISOTROPIC_SR, s=0.75, d=2, r=0.5), 20_000),
+    (WeightSpec(Family.ISOTROPIC_SR, s=2.5, d=3, r=0.75), 20_000),
+    (WeightSpec(Family.ISOTROPIC_SR, s=1.0, d=3, r=3.0), 20_000),
+    (WeightSpec(Family.ISOTROPIC_SR, s=1.5, d=4, r=0.5), 20_000),
+    (WeightSpec(Family.ISOTROPIC_SR, s=3.0, d=4, r=1.5), 20_000),
 ])
 def test_prefix_bit_identical_fixed(spec, n_max):
     if spec.r == 2.0 and spec.s == 3.0:

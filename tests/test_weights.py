@@ -3,8 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wienerwidths import Family, WeightSpec, log_weight_box
+from wienerwidths.weights import RepArrays
 
 
 def test_mixed_sr_values():
@@ -169,3 +172,50 @@ def _sample_specs():
         WeightSpec(Family.H1_RATIO, s=2.0, d=2),
         WeightSpec(Family.H1_RATIO, s=1.5, d=3),
     ]
+
+
+# zeros, so that rows of d >= 3 have two nonzero coordinates, and
+# coordinates from the desk range to past 2^53, where the tables leave the
+# division a1/a0 to the scalar formula
+_COORDS = (st.just(0) | st.integers(1, 40) | st.integers(1, 10**12)
+           | st.integers(2**53 - 2, 2**62))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(d=st.integers(1, 4),
+       r=st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]) | st.floats(0.05, 40),
+       s=st.sampled_from([0.5, 1.0, 1.5, 2.0]) | st.floats(0.05, 2000),
+       rows=st.lists(st.lists(_COORDS, min_size=4, max_size=4), min_size=1,
+                     max_size=40),
+       reserve=st.booleans())
+# v^r overflows in the table (r = 26 at 1e12); v^r fits but the two-term sum
+# overflows (1e12^25.6667 ~ 1e308); the outer pow overflows (s/r = 100);
+# three nonzero coordinates; coordinates from 2^53 on (the first row's
+# numpy quotient a1/a0 is an ulp off the exact one, and so is the key)
+@example(d=2, r=26.0, s=1.0, rows=[[10**12, 10**12, 0, 0]], reserve=False)
+@example(d=2, r=math.log(1e308) / math.log(1e12), s=1.0,
+         rows=[[10**12, 10**12, 0, 0], [10**12, 1, 0, 0]], reserve=False)
+@example(d=3, r=2.0, s=200.0, rows=[[10**12, 10**6, 0, 0], [5, 3, 0, 0]],
+         reserve=True)
+@example(d=4, r=0.5, s=1.5, rows=[[9, 4, 4, 1], [9, 4, 0, 0], [9, 0, 0, 0]],
+         reserve=True)
+@example(d=2, r=1.5, s=1.5,
+         rows=[[11952312300023426, 11952312300023401, 0, 0],
+               [2**53 - 1, 2**53 - 2, 0, 0]],
+         reserve=False)
+def test_isotropic_sr_rows_equal_the_scalar_formulas(d, r, s, rows, reserve):
+    # rows with two nonzero coordinates come from tables, the others from
+    # the scalar code; either way weights and log_weights are evaluate and
+    # log_evaluate bit for bit, overflow fallbacks included
+    spec = WeightSpec(Family.ISOTROPIC_SR, s=s, d=d, r=r)
+    reps = np.array([sorted(row[:d], reverse=True) for row in rows],
+                    dtype=np.int64)
+    arrays = RepArrays(spec)
+    if reserve:
+        arrays.reserve(40)
+    got_w = arrays.weights(reps)
+    got_k = arrays.log_weights(reps)
+    want_w = np.array([spec.evaluate(row) for row in reps.tolist()])
+    want_k = np.array([spec.log_evaluate(row) for row in reps.tolist()])
+    assert got_w.tobytes() == want_w.tobytes()
+    assert got_k.tobytes() == want_k.tobytes()

@@ -1,18 +1,26 @@
+import contextlib
+import io
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wienerwidths import (
     Embedding,
     Family,
     PrefixTooShortError,
+    SigmaPrefix,
     WeightSpec,
     WidthKind,
     sigma_prefix,
     sup_over_h,
     width,
 )
+from wienerwidths import cli
 from wienerwidths import widths as widths_mod
 from wienerwidths.widths import is_exact, needs_sup
 from conftest import array_prefix
@@ -349,3 +357,72 @@ def test_monotone_in_n_all_embeddings():
                 assert all(a >= b - 1e-15 for a, b in zip(lows, lows[1:]))
                 assert all(a >= b - 1e-15 for a, b in zip(ups, ups[1:]))
 
+
+
+# (weight options, embedding, extra options) of every pair whose v kinds
+# take the sum formula: exact on a-to-l2, amix-to-h1 and cmix-to-l2, the
+# lower end of a bracket on a-to-linf and a-to-lp
+_SUM_FORMULA = [
+    (["--family", "mixed-inf", "--s", "1", "--d", "1"], Embedding.A_TO_L2, []),
+    (["--family", "h1-ratio", "--s", "2", "--d", "2"], Embedding.AMIX_TO_H1, []),
+    (["--family", "mixed-sr", "--s", "1", "--r", "2", "--d", "2"],
+     Embedding.CMIX_TO_L2, []),
+    (["--family", "mixed-inf", "--s", "1", "--d", "2"], Embedding.A_TO_LINF, []),
+    (["--family", "mixed-inf", "--s", "1", "--d", "2"], Embedding.A_TO_LP,
+     ["--p", "4"]),
+]
+
+
+@st.composite
+def _sum_prefixes(draw):
+    """(cum_inv_sq, values, grid): a running sum of drawn terms with random
+    last bits, a nonincreasing sigma above every bracket's lower end, and a
+    grid that may repeat and be unsorted, or a range."""
+    n_max = draw(st.integers(1, 300))
+    first = draw(st.floats(1e-6, 1e6))
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n_max - 1,
+                          max_size=n_max - 1))
+    cum = np.cumsum([first, *steps])
+    values = 2.0 * cum ** -0.5
+    grid = draw(st.lists(st.integers(1, n_max), min_size=1, max_size=40)
+                | st.builds(lambda a, b: list(range(min(a, b), max(a, b) + 1)),
+                            st.integers(1, n_max), st.integers(1, n_max)))
+    return cum, values, grid
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_sum_prefixes(), st.sampled_from(range(len(_SUM_FORMULA))),
+       st.sampled_from(V_KINDS), st.sampled_from(["csv", "json"]))
+def test_sum_formula_is_pythons_float_power(drawn, case, kind, fmt):
+    # every sum-formula value is float(cum_inv_sq[n-1]) ** -0.5 (libm's
+    # pow), bit for bit, from width() and in the CLI's bytes; numpy's
+    # ** -0.5 differs from it in the last bit on about 5% of values
+    cum, values, grid = drawn
+    weight, emb, extra = _SUM_FORMULA[case]
+    args = cli._build_parser().parse_args(
+        ["width", *weight, "--embedding", emb.value, "--kind", kind.value,
+         "--n", ",".join(map(str, grid)), *extra, "--format", fmt])
+    spec = cli._make_spec(args)
+    prefix = SigmaPrefix(spec, values, cum)
+    expected = [float(cum[n - 1]) ** -0.5 for n in grid]
+    got = width(prefix, emb, kind, grid, p=args.p)
+    assert [w.lower for w in got] == expected
+    exact = is_exact(emb, kind)
+    uppers = expected if exact else [float(values[n - 1]) for n in grid]
+    assert [w.upper for w in got] == uppers
+    rows = [[n, lo, up, exact] for n, lo, up in zip(grid, expected, uppers)]
+    columns = ["n", "lower", "upper", "exact"]
+    if fmt == "csv":
+        text = "".join(f"{n},{lo:.17g},{up:.17g},{str(ex).lower()}\n"
+                       for n, lo, up, ex in rows)
+        expected_out = ",".join(columns) + "\n" + text
+    else:
+        expected_out = json.dumps({"command": "width", "columns": columns,
+                                   "rows": rows}, indent=2) + "\n"
+    out = io.StringIO()
+    with mock.patch.object(cli, "sigma_prefix", lambda spec, n: prefix), \
+            contextlib.redirect_stdout(out):
+        assert cli.main(["width", *weight, "--embedding", emb.value,
+                         "--kind", kind.value, "--n", ",".join(map(str, grid)),
+                         *extra, "--format", fmt]) == 0
+    assert out.getvalue() == expected_out
