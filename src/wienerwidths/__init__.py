@@ -42,6 +42,7 @@ _HOMES = {
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):
@@ -53,35 +54,3 @@ def __getattr__(name: str):
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Family",
-    "WeightSpec",
-    "log_weight_box",
-    "SigmaPrefix",
-    "BoxTooSmallError",
-    "CumSumOverflowError",
-    "ResourceLimitError",
-    "iter_orbits",
-    "orbit_multiplicity",
-    "sigma_prefix",
-    "sigma_bruteforce",
-    "count_leq",
-    "Embedding",
-    "WidthKind",
-    "WidthValue",
-    "PrefixTooShortError",
-    "width",
-    "sup_over_h",
-    "CONSTANT_NAMES",
-    "constant",
-    "series_S",
-    "convergence_table",
-    "aux_integral",
-    "count_C",
-    "count_A",
-    "count_A_split",
-    "lambda_split_exponent",
-    "verify_appendix_limits",
-    "sandwich_check",
-]

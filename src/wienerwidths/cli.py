@@ -1,9 +1,10 @@
 """Command-line interface: batch tables for every library operation.
 
-Each subcommand returns its (columns, blocks) table and ``main`` writes it,
-as CSV or (``--format json``) as one JSON object.  A block holds one
-sequence per column (a list, a ``range`` or a numpy slice) of at most
-8,192 rows.  The columns are:
+Each subcommand returns its (columns, data) table and ``main`` writes it,
+as CSV or (``--format json``) as one JSON object.  The data hold one whole
+sequence per column (a ``range``, a list or tuple, or a numpy array), and
+the writer alone cuts them into blocks of at most 8,192 rows.  The columns
+are:
 
     sigma            n, sigma, cum_inv_sq [, sigma_oracle]
     width            n, lower, upper, exact
@@ -23,15 +24,16 @@ true/false, floats with 17 significant digits and '.' decimal separator;
 JSON writes null, true/false and ``repr`` floats, and a JSON table is
 ``json.dumps(payload, indent=2)`` plus a newline.  Output is
 byte-identical across runs.  Tables stream out a block at a time
-(``sigma`` hands over slices of its prefix arrays, ``width`` slices of the
-float64 arrays that ``widths._width_arrays`` returns, the small tables are
-transposed a block at a time), so peak memory is the prefix, 16 bytes per
-row, plus a width's few arrays of 8 bytes per grid entry, plus one block;
-rows that can fail are all computed before the first byte.  An exact
-width's block holds its one value slice as both lower and upper, and the
-writer converts each distinct column of a block once.  Integers may be
-spelled 1.5e5.  Progress notes go to stderr, and so does each warning, as
-the one line "warning: <category>: <message>".
+(``sigma`` hands over its prefix arrays, ``width`` its n grid and the
+float64 arrays that ``widths._width_arrays`` returns, the small tables
+their rows transposed into columns), so peak memory is the prefix, 16
+bytes per row, plus a width's few arrays of 8 bytes per grid entry, plus
+one block; rows that can fail are all computed before the first byte.  An
+exact width hands over its one value array as both lower and upper, and
+the writer converts each distinct column object once per block.  An n
+grid of several parts is held as an ``array("q")``, 8 bytes per entry.
+Integers may be spelled 1.5e5.  Progress notes go to stderr, and so does
+each warning, as the one line "warning: <category>: <message>".
 A width or converge grid enumerates its largest n (or --prefix-n, where
 larger), and a sup width takes more terms as its certificate needs them.
 Prefix lengths above 30,000,000 are refused before any enumeration, and
@@ -56,7 +58,7 @@ import os
 import sys
 import warnings
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .asymptotics import (
     CONSTANT_NAMES,
@@ -96,8 +98,8 @@ _BLOCK = 8_192  # rows per output block
 _GRID_CAP = 100_000
 
 Columns = Sequence[tuple[str, "_Kind"]]  # (name, kind) per column
-# (columns, blocks): a block holds one sequence per column, at most _BLOCK rows
-Table = tuple[Columns, Iterable[Sequence[Sequence]]]
+# (columns, data): data hold one whole sequence per column
+Table = tuple[Columns, Sequence[Sequence]]
 
 
 # -- parsing helpers ---------------------------------------------------------
@@ -129,7 +131,9 @@ def _parse_int_list(text: str, capped: str | None = None) -> Sequence[int]:
     A single range stays a lazy ``range``, so an oversized n range reaches
     the prefix cap check without first being expanded; an n grid of several
     parts is refused above the prefix cap on its largest entry, taken from
-    the range ends, before it is expanded.  A grid whose rows are all
+    the range ends, before it is expanded into an ``array("q")`` (a list
+    where an entry is below 1, for the caller's refusal of it, since such
+    an entry may not fit in 64 bits).  A grid whose rows are all
     computed before the first byte (``capped`` names its option) is refused
     above _GRID_CAP entries, counted from the range ends."""
     parts: list[Sequence[int]] = []
@@ -155,6 +159,14 @@ def _parse_int_list(text: str, capped: str | None = None) -> Sequence[int]:
         from .sigma import _refuse_above_cap
 
         _refuse_above_cap(max(_top(p) for p in parts if p))
+        # each part's first entry is its least
+        if min(p[0] for p in parts if p) >= 1:
+            from array import array
+
+            grid = array("q")
+            for p in parts:
+                grid.extend(p)
+            return grid
     return [n for p in parts for n in p]
 
 
@@ -217,8 +229,8 @@ def _listed(col: Sequence) -> Sequence:
 
 
 def _each(convert: Callable) -> Callable[[Sequence], list]:
-    """The column conversion that converts every cell."""
-    return lambda col: list(map(convert, col))
+    """The column conversion that converts every cell, as a Python scalar."""
+    return lambda col: list(map(convert, _listed(col)))
 
 
 def _by_runs(spec: str) -> Callable[[Sequence], list]:
@@ -243,7 +255,7 @@ def _by_runs(spec: str) -> Callable[[Sequence], list]:
 
 class _Kind(NamedTuple):
     """How a column prints: one printf spec per format, applied to the cells
-    that the format's conversion makes of a column block."""
+    that the format's conversion makes of a block of the column."""
 
     csv: str
     json: str
@@ -264,21 +276,16 @@ _BOOL = _Kind("%s", "%s", _each(_TRUE_FALSE), _each(_TRUE_FALSE))
 _CELL = _Kind("%s", "%s", _each(_csv_cell), _each(json.dumps))
 
 
-def _column_blocks(rows: Sequence[Sequence]) -> Iterator[list[Sequence]]:
-    """A table held as rows, as column blocks of at most ``_BLOCK`` rows."""
-    for lo in range(0, len(rows), _BLOCK):
-        yield list(zip(*rows[lo:lo + _BLOCK]))
-
-
 def _emit(
-    args: argparse.Namespace, columns: Columns, blocks: Iterable[Sequence[Sequence]]
+    args: argparse.Namespace, columns: Columns, data: Sequence[Sequence]
 ) -> None:
     """Write the table to --output or the current stdout, a block at a time.
 
-    A block is one sequence per column, of equal lengths, at most
-    ``_BLOCK`` rows.  Each column's conversion turns it into cells (once
-    for a column object a block holds twice, under the same kind), which
-    fill every len(columns)-th slot of the block's cell list, and the block
+    ``data`` holds one sequence per column, of equal lengths (none for an
+    empty table), and a block is at most ``_BLOCK`` rows of them.  Each
+    column's conversion turns its slice of the block into cells (once for
+    a column object ``data`` holds twice, under the same kind), which fill
+    every len(columns)-th slot of the block's cell list, and the block
     prints as one ``%`` of the row format, built from the column kinds and
     repeated once per row.  A JSON row carries the ``indent=2`` layout and
     its leading ",", which the first row drops, so a JSON table is
@@ -296,20 +303,21 @@ def _emit(
         fmt = ",\n    [\n      " + specs + "\n    ]"
         convert = [k.to_json for k in kinds]
     ncol = len(kinds)
+    nrow = len(data[0]) if data else 0
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
         out.write(head)
         skip = 0 if args.format == "csv" else 1
-        for block in blocks:
-            nrow = len(block[0])
-            cells = [None] * (nrow * ncol)
+        for lo in range(0, nrow, _BLOCK):
+            hi = min(lo + _BLOCK, nrow)
+            cells = [None] * ((hi - lo) * ncol)
             done = {}  # (conversion, column) -> cells, once per block
-            for j, (f, col) in enumerate(zip(convert, block)):
+            for j, (f, col) in enumerate(zip(convert, data)):
                 key = (f, id(col))
                 if key not in done:
-                    done[key] = f(col)
+                    done[key] = f(col[lo:hi])
                 cells[j::ncol] = done[key]
-            out.write(((fmt * nrow) % tuple(cells))[skip:])
+            out.write(((fmt * (hi - lo)) % tuple(cells))[skip:])
             skip = 0
         if args.format == "json":
             out.write("]\n}\n" if skip else "\n  ]\n}\n")  # '[]' when empty
@@ -348,19 +356,16 @@ def _cmd_sigma(args: argparse.Namespace) -> Table:
     prefix = _prefix(spec, n_max)
     # cum_inv_sq rises at every row, so it has no runs to print once
     columns = [("n", _INT), ("sigma", _FLOAT_RUNS), ("cum_inv_sq", _FLOAT)]
-    arrays = [prefix.values, prefix.cum_inv_sq]
+    data = [range(1, n_max + 1), prefix.values, prefix.cum_inv_sq]
     if args.check_box_radius is not None:
-        arrays.append(sigma_bruteforce(spec, n_max, args.check_box_radius).values)
+        data.append(sigma_bruteforce(spec, n_max, args.check_box_radius).values)
         columns.append(("sigma_oracle", _FLOAT_RUNS))
-    blocks = (
-        [range(lo + 1, min(lo + _BLOCK, n_max) + 1),
-         *(a[lo:lo + _BLOCK] for a in arrays)]
-        for lo in range(0, n_max, _BLOCK)
-    )
-    return columns, blocks
+    return columns, data
 
 
 def _cmd_width(args: argparse.Namespace) -> Table:
+    import numpy as np
+
     from .sigma import _refuse_above_cap
     from .widths import _width_arrays, check_width, refuse_flat
 
@@ -376,19 +381,12 @@ def _cmd_width(args: argparse.Namespace) -> Table:
     lower, upper, exact = _width_arrays(_prefix(spec, n), embedding, kind, ns,
                                         args.p)
     # a bracket's upper end is sigma_n or a multiple of it, equal along
-    # runs; an exact pair's block holds its lower slice twice, which _emit
+    # runs; an exact pair's upper is its lower array itself, which _emit
     # converts once, and by runs it becomes text once instead of being
-    # formatted twice
+    # formatted twice; the exact column is one bool, viewed len(ns) times
     columns = [("n", _INT), ("lower", _FLOAT_RUNS if exact else _FLOAT),
                ("upper", _FLOAT_RUNS), ("exact", _BOOL)]
-    flags = [exact] * _BLOCK
-
-    def block(lo: int) -> list[Sequence]:
-        low = lower[lo:lo + _BLOCK]
-        up = low if upper is lower else upper[lo:lo + _BLOCK]
-        return [ns[lo:lo + _BLOCK], low, up, flags[:len(low)]]
-
-    return columns, map(block, range(0, len(ns), _BLOCK))
+    return columns, [ns, lower, upper, np.broadcast_to(exact, len(ns))]
 
 
 def _cmd_converge(args: argparse.Namespace) -> Table:
@@ -411,16 +409,15 @@ def _cmd_converge(args: argparse.Namespace) -> Table:
     table = convergence_table(
         _prefix(spec, n), embedding, kind, grid, args.alpha, args.beta
     )
-    rows = [[*row, args.target] for row in table]
     columns = [("n", _INT), ("raw", _FLOAT), ("normalizer", _FLOAT),
                ("ratio", _FLOAT), ("target", _FLOAT)]
-    return columns, _column_blocks(rows)
+    return columns, [*zip(*table), [args.target] * len(table)]
 
 
 def _cmd_constants(args: argparse.Namespace) -> Table:
     s = None if args.s is None else float(_parse_s(args.s))
     value = constant(args.name, s=s, d=args.d, tol=args.tol)
-    return [("name", _CELL), ("value", _FLOAT)], _column_blocks([[args.name, value]])
+    return [("name", _CELL), ("value", _FLOAT)], [[args.name], [value]]
 
 
 def _cmd_count(args: argparse.Namespace) -> Table:
@@ -449,7 +446,7 @@ def _cmd_count(args: argparse.Namespace) -> Table:
     rows = [row(r) for r in _parse_int_list(args.r_grid, "--r-grid")]
     columns = [("kind", _CELL), ("s", _CELL), ("r", _INT), ("dim", _INT),
                ("j", _CELL), ("r_ell", _CELL), ("count", _INT)]
-    return columns, _column_blocks(rows)
+    return columns, list(zip(*rows))
 
 
 def _cmd_appendix_verify(args: argparse.Namespace) -> Table:
@@ -465,7 +462,7 @@ def _cmd_appendix_verify(args: argparse.Namespace) -> Table:
     # mixed
     names = ("section", "r", "ell", "j", "r_ell", "count", "ratio", "target", "ok")
     columns = [(name, _INT if name == "r" else _CELL) for name in names]
-    return columns, _column_blocks(rows)
+    return columns, list(zip(*rows))
 
 
 def _cmd_integral(args: argparse.Namespace) -> Table:
@@ -477,7 +474,7 @@ def _cmd_integral(args: argparse.Namespace) -> Table:
     rows = [[n, val, limit, abs(val - limit)] for n, val in values]
     # quadrature values are not known finite, so they print as cells
     columns = [("n", _INT), ("value", _CELL), ("limit", _CELL), ("abs_dev", _CELL)]
-    return columns, _column_blocks(rows)
+    return columns, list(zip(*rows))
 
 
 _DISPATCH = {

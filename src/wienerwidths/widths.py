@@ -317,6 +317,7 @@ def width(
     when the prefix ends before max(ns), with ``required = max(ns)``, or
     when a prefix built from arrays ends before a sup certificate fires.
     """
+    check_width(prefix.spec, embedding, kind, ns, p)
     lower, upper, exact = _width_arrays(prefix, embedding, kind, ns, p)
     lows = lower.tolist()
     ups = lows if upper is lower else upper.tolist()
@@ -331,9 +332,9 @@ def _width_arrays(
     p: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """``width`` as float64 arrays in ``ns`` order: (lower, upper, exact),
-    where ``upper`` is the ``lower`` array itself for an exact pair.  Raises
-    what ``width`` raises."""
-    check_width(prefix.spec, embedding, kind, ns, p)
+    where ``upper`` is the ``lower`` array itself for an exact pair.  The
+    caller has passed ``check_width``; raises what ``width`` raises past
+    it."""
     if not ns:
         idx = np.empty(0, dtype=np.int64)
     elif isinstance(ns, range):

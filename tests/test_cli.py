@@ -11,6 +11,8 @@ import resource
 import subprocess
 import sys
 import time
+from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wienerwidths import Embedding, WidthKind, cli, lattice_count, sigma, width
+from wienerwidths import widths
 from wienerwidths.cli import _BLOCK, _parse_int, main
 
 CLI = [sys.executable, "-m", "wienerwidths.cli"]
@@ -361,6 +364,36 @@ def test_prefix_cap_refused_before_enumeration():
         assert time.monotonic() - start < 30
 
 
+def test_multi_part_grid_is_packed():
+    parse = cli._parse_int_list
+    assert parse("4..6,2") == array("q", [4, 5, 6, 2])
+    assert parse("20000..1,7,1..2") == array("q", [7, 1, 2])
+    assert parse("7") == [7] and parse("1..3") == range(1, 4)
+    # an entry below 1, which may not fit in 64 bits, keeps the list, so
+    # that check_width refuses it by its own message
+    assert parse("3,-1e30") == [3, int(-1e30)]
+    assert parse("0,1..3", "--r-grid") == [0, 1, 2, 3]
+    for grid, bad in (("3,-1e30", int(-1e30)), ("0,1..3", 0), ("1..3,-2", -2)):
+        out = run_cli("width", "--family", "mixed-inf", "--s", "1", "--d", "2",
+                      "--embedding", "a-to-a", "--kind", "weyl", f"--n={grid}")
+        assert out.returncode == 2, grid
+        assert out.stderr == f"error: n must be a positive integer, got {bad}\n"
+        assert out.stdout == ""
+
+
+def test_width_checks_its_grid_once(monkeypatch, capsys):
+    # a grid of several parts is walked entry by entry, once
+    calls = []
+    check = widths.check_width
+    monkeypatch.setattr(widths, "check_width",
+                        lambda *args: calls.append(args) or check(*args))
+    argv = ["width", *_MIXED_INF, "--embedding", "a-to-l2", "--kind",
+            "approximation", "--n", "1..50,7"]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.count("\n") == 52
+
+
 def test_flat_weight_refused_before_enumerating(monkeypatch, capsys):
     # s = 1e-300 makes every weight within the prefix cap evaluate to 1.0,
     # so the sup certificate can never fire; the prefix used to double up
@@ -630,19 +663,18 @@ def _reference(command, fmt, columns, rows):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _written(command, fmt, columns, blocks):
+def _written(command, fmt, columns, data):
     args = argparse.Namespace(command=command, format=fmt, output=None)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        cli._emit(args, columns, blocks)
+        cli._emit(args, columns, data)
     return buf.getvalue()
 
 
-def _rows(blocks):
-    """The rows of a table's column blocks, numpy cells as Python scalars."""
-    return [row for block in blocks
-            for row in zip(*(col.tolist() if isinstance(col, np.ndarray)
-                             else col for col in block))]
+def _rows(data):
+    """The rows of a table's columns, numpy cells as Python scalars."""
+    return list(zip(*(col.tolist() if isinstance(col, np.ndarray) else col
+                      for col in data)))
 
 
 _MIXED_INF = ["--family", "mixed-inf", "--s", "1", "--d", "2"]
@@ -678,15 +710,62 @@ _WRITER_TABLES = [
                          ids=lambda a: "-".join([a[0], *a[-2:]]))
 def test_writer_matches_reference(argv, fmt):
     args = cli._build_parser().parse_args([*argv, "--format", fmt])
-    columns, blocks = cli._DISPATCH[args.command](args)
-    blocks = list(blocks)
-    rows = _rows(blocks)
+    columns, data = cli._DISPATCH[args.command](args)
+    rows = _rows(data)
     assert rows
     expected = _reference(args.command, fmt, columns, rows)
-    assert _written(args.command, fmt, columns, blocks) == expected
-    # an empty table is the header alone, or a JSON "rows": []
-    empty = _written(args.command, fmt, columns, [])
-    assert empty == _reference(args.command, fmt, columns, [])
+    assert _written(args.command, fmt, columns, data) == expected
+    # an empty table is the header alone, or a JSON "rows": []; its data
+    # hold no column (rows transposed) or empty ones
+    for empty in ([], [[] for _ in columns]):
+        assert (_written(args.command, fmt, columns, empty)
+                == _reference(args.command, fmt, columns, []))
+
+
+def _counted(calls):
+    """Each kind that ``calls`` holds, with conversions that count their
+    calls there."""
+
+    def counting(key, f):
+        def convert(col):
+            calls[key] += 1
+            return f(col)
+        return convert
+
+    return {kind: kind._replace(to_csv=counting(kind, kind.to_csv),
+                                to_json=counting(kind, kind.to_json))
+            for kind in calls}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_converts_a_column_object_once_per_block(fmt):
+    # an exact width hands its one value array over as lower and upper;
+    # a bracket's two ends are two arrays of two kinds
+    for embedding, shared in (("a-to-a", True), ("a-to-linf", False)):
+        argv = ["width", *_MIXED_INF, "--embedding", embedding, "--kind",
+                "weyl", "--n", f"1..{2 * _BLOCK + 1}", "--format", fmt]
+        args = cli._build_parser().parse_args(argv)
+        columns, data = cli._DISPATCH["width"](args)
+        assert (data[1] is data[2]) is shared
+        calls = {kind: 0 for _, kind in columns}
+        counted = _counted(calls)
+        columns = [(name, counted[kind]) for name, kind in columns]
+        expected = _reference("width", fmt, columns, _rows(data))
+        assert _written("width", fmt, columns, data) == expected
+        # three blocks: the shared array takes one call per block, as does
+        # a bracket's upper (its lower is a _FLOAT column)
+        assert calls[cli._FLOAT_RUNS] == 3
+        if not shared:
+            assert calls[cli._FLOAT] == 3
+    # one column object held twice under one kind, next to an equal copy
+    col = np.arange(2 * _BLOCK + 1, dtype=np.float64)
+    calls = {cli._FLOAT: 0}
+    kind = _counted(calls)[cli._FLOAT]
+    columns = [("a", kind), ("b", kind), ("c", kind)]
+    data = [col, col, col.copy()]
+    assert (_written("t", fmt, columns, data)
+            == _reference("t", fmt, columns, _rows(data)))
+    assert calls[cli._FLOAT] == 6
 
 
 # a weight every embedding of the key takes (h1-ratio for the H^1
@@ -745,8 +824,8 @@ _STEPS = [None, operator.neg, lambda x: math.nextafter(x, math.inf),
 
 @st.composite
 def _tables(draw):
-    """Columns, their rows, and the same table cut into column blocks of a
-    drawn size, so that runs of equal cells cross block ends."""
+    """Columns, their rows, the same table as columns, and a drawn block
+    size, so that runs of equal cells cross block ends."""
     # every table has at least two columns (csv.writer quotes a lone empty
     # field)
     kinds = draw(st.lists(st.sampled_from(list(_KIND_VALUES)), min_size=2,
@@ -761,20 +840,24 @@ def _tables(draw):
                                   max_size=n))
             for i in range(1, n):
                 if steps[i] is not None:
-                    values[i] = steps[i](values[i - 1])
+                    # a step past the largest float leaves the kind's
+                    # finite floats; the drawn value stays then
+                    stepped = steps[i](values[i - 1])
+                    if math.isfinite(stepped):
+                        values[i] = stepped
         lengths = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
         cols.append([x for x, k in zip(values, lengths) for _ in range(k)][:n])
     size = draw(st.integers(1, max(n, 1)))
-    blocks = [[col[lo:lo + size] for col in cols] for lo in range(0, n, size)]
-    return columns, list(zip(*cols)), blocks
+    return columns, list(zip(*cols)), cols, size
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(_tables(), st.sampled_from(["csv", "json"]))
 def test_writer_cell_rules(table, fmt):
-    columns, rows, blocks = table
-    assert _written("t", fmt, columns, blocks) == _reference("t", fmt, columns,
-                                                             rows)
+    columns, rows, cols, size = table
+    with mock.patch.object(cli, "_BLOCK", size):
+        written = _written("t", fmt, columns, cols)
+    assert written == _reference("t", fmt, columns, rows)
 
 
 def test_failing_row_writes_nothing():
@@ -858,6 +941,17 @@ def test_width_grid_memory_is_bounded():
         small = _peak_rss_mb([*sup, "--n", "1..10", "--format", fmt])
         large = _peak_rss_mb([*sup, "--n", "1..2e5", "--format", fmt])
         assert large - small < 30, (fmt, small, large)
+
+
+def test_multi_part_grid_memory_is_bounded():
+    # a grid of several parts is packed 8 bytes per entry, as a range's
+    # values are in the arrays: one more entry adds about 1.5 MB, where a
+    # list of Python ints (39 bytes an entry) added 7.6 MB
+    sup = ["width", "--family", "mixed-inf", "--s", "1", "--d", "1",
+           "--embedding", "a-to-l2", "--kind", "approximation"]
+    one = _peak_rss_mb([*sup, "--n", "1..2e5"])
+    parts = _peak_rss_mb([*sup, "--n", "1..2e5,1"])
+    assert parts - one < 4, (one, parts)
 
 
 @pytest.mark.parametrize("weight, n", [
