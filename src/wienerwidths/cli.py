@@ -22,11 +22,17 @@ equal across an orbit, formats each run of bit-identical values once and
 repeats the text.  The cell rules: CSV writes None as empty, bools as
 true/false, floats with 17 significant digits and '.' decimal separator;
 JSON writes null, true/false and ``repr`` floats, and a JSON table is
-``json.dumps(payload, indent=2)`` plus a newline.  Output is
-byte-identical across runs.  Tables stream out a block at a time
-(``sigma`` hands over its prefix arrays, ``width`` its n grid and the
-float64 arrays that ``widths._width_arrays`` returns, the small tables
-their rows transposed into columns), so peak memory is the prefix, 16
+``json.dumps(payload, indent=2)`` plus a newline.  A float column held as
+a numpy array prints through the two kernels of ``_floattext``, which give
+the bytes of ``'%.17g' % x`` and ``repr(x)`` a whole block at a time and
+hand each cell their error bound cannot decide (0, -0, inf, nan, a
+subnormal, an exact tie or an end of the rounding interval where the power
+of ten is no double) to Python's own ``%``; a list column prints cell by
+cell.  Output is byte-identical across runs.  Tables stream out a block
+at a time (``sigma`` hands over its prefix arrays, ``width`` and
+``converge`` their n grid and float64 arrays built from the one that
+``widths._width_arrays`` returns, the small tables their rows transposed
+into columns), so peak memory is the prefix, 16
 bytes per row, plus a width's few arrays of 8 bytes per grid entry, plus
 one block; rows that can fail are all computed before the first byte.  An
 exact width hands over its one value array as both lower and upper, and
@@ -43,11 +49,12 @@ fewer points than the prefix.
 Exit codes: 0 success, 1 stdout closed early (broken pipe), 2 domain/usage
 error or an --output path that cannot be opened, 3 resource cap.
 
-Importing this module loads no numpy.  ``sigma``, ``width``, ``converge``
-and ``appendix-verify`` load it at their first call into the array modules
-(``sigma``, ``widths``, ``weights``), and ``constants`` where it sums the
-series S (``s-series``, and ``h1-constant`` at d > 1); ``integral``,
-``count`` and the other constants run without it.
+Importing this module loads neither numpy nor ``_floattext``.  ``sigma``,
+``width``, ``converge`` and ``appendix-verify`` load numpy at their first
+call into the array modules (``sigma``, ``widths``, ``weights``), and
+``constants`` where it sums the series S (``s-series``, and
+``h1-constant`` at d > 1); ``integral``, ``count`` and the other constants
+run without it.  The first float array column loads ``_floattext``.
 """
 from __future__ import annotations
 
@@ -233,21 +240,38 @@ def _each(convert: Callable) -> Callable[[Sequence], list]:
     return lambda col: list(map(convert, _listed(col)))
 
 
+def _floats(spec: str) -> Callable[[Sequence], list]:
+    """The column conversion that prints each float as ``spec % x`` ("%.17g"
+    or "%r"): an array through ``_floattext``'s kernel, a list cell by
+    cell."""
+
+    def convert(col: Sequence) -> list:
+        if hasattr(col, "tolist"):
+            from ._floattext import format_floats
+
+            return format_floats(col, spec)
+        return [spec % x for x in col]
+
+    return convert
+
+
 def _by_runs(spec: str) -> Callable[[Sequence], list]:
-    """The column conversion that formats each run of bit-identical floats
-    once, with ``spec``, and repeats the text along the run.  Runs are
-    found on the bits, so 0.0 and -0.0, which print differently, never
-    merge."""
+    """The column conversion that prints each run of bit-identical floats
+    once, as ``_floats(spec)`` does, and repeats the text along the run.
+    Runs are found on the bits, so 0.0 and -0.0, which print differently,
+    never merge."""
 
     def convert(col: Sequence) -> list:
         import numpy as np
+
+        from ._floattext import format_floats
 
         col = np.asarray(col, dtype=np.float64)
         bits = col.view(np.uint64)
         new = np.ones(len(col), dtype=bool)
         np.not_equal(bits[1:], bits[:-1], out=new[1:])
         starts = np.flatnonzero(new)
-        texts = np.array([spec % x for x in col[starts].tolist()], dtype=object)
+        texts = np.array(format_floats(col[starts], spec), dtype=object)
         return np.repeat(texts, np.diff(starts, append=len(col))).tolist()
 
     return convert
@@ -267,9 +291,9 @@ _TRUE_FALSE = {True: "true", False: "false"}.__getitem__
 _INT = _Kind("%d", "%d")
 # finite floats only: %r prints inf and nan where json.dumps prints
 # Infinity and NaN
-_FLOAT = _Kind("%.17g", "%r")
+_FLOAT = _Kind("%s", "%s", _floats("%.17g"), _floats("%r"))
 # finite floats that repeat along runs, as sigma does across an orbit and
-# across orbits of equal weight; printed by the _FLOAT specs
+# across orbits of equal weight; printed as _FLOAT prints them
 _FLOAT_RUNS = _Kind("%s", "%s", _by_runs("%.17g"), _by_runs("%r"))
 _BOOL = _Kind("%s", "%s", _each(_TRUE_FALSE), _each(_TRUE_FALSE))
 # anything else: None, strings, bools, ints and floats mixed in one column
@@ -390,6 +414,8 @@ def _cmd_width(args: argparse.Namespace) -> Table:
 
 
 def _cmd_converge(args: argparse.Namespace) -> Table:
+    import numpy as np
+
     from .sigma import _refuse_above_cap
     from .widths import check_width, refuse_flat
 
@@ -406,12 +432,14 @@ def _cmd_converge(args: argparse.Namespace) -> Table:
         raise ValueError(f"--target must be finite, got {args.target!r}")
     check_width(spec, embedding, kind, grid)
     refuse_flat(spec, embedding, kind, n_hi)
-    table = convergence_table(
+    raw, normalizer, ratio = convergence_table(
         _prefix(spec, n), embedding, kind, grid, args.alpha, args.beta
     )
+    # the target is one float, viewed len(grid) times: one run
+    target = np.broadcast_to(np.float64(args.target), len(grid))
     columns = [("n", _INT), ("raw", _FLOAT), ("normalizer", _FLOAT),
-               ("ratio", _FLOAT), ("target", _FLOAT)]
-    return columns, [*zip(*table), [args.target] * len(table)]
+               ("ratio", _FLOAT), ("target", _FLOAT_RUNS)]
+    return columns, [grid, raw, normalizer, ratio, target]
 
 
 def _cmd_constants(args: argparse.Namespace) -> Table:

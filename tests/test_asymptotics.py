@@ -197,20 +197,26 @@ def test_series_domain_and_resource():
 def test_convergence_table_mixed_inf_d1():
     spec = WeightSpec(Family.MIXED_INF, s=1.0, d=1)
     p = sigma_prefix(spec, 10 ** 5 + 1)
-    rows = convergence_table(p, Embedding.A_TO_A, WidthKind.APPROXIMATION,
-                             [10 ** 3, 10 ** 4, 10 ** 5], alpha=1.0, beta=0.0)
-    assert [n for n, *_ in rows] == [10 ** 3, 10 ** 4, 10 ** 5]
-    for n, raw, normalizer, ratio in rows:
+    grid = [10 ** 3, 10 ** 4, 10 ** 5]
+    columns = convergence_table(p, Embedding.A_TO_A, WidthKind.APPROXIMATION,
+                                grid, alpha=1.0, beta=0.0)
+    assert [col.shape for col in columns] == [(3,)] * 3
+    raws, normalizers, ratios = (col.tolist() for col in columns)
+    assert raws == [p.values[n - 1] for n in grid]
+    for n, raw, normalizer, ratio in zip(grid, raws, normalizers, ratios):
         assert 2.0 - 1e-12 <= ratio <= 2.0 + 3.0 / n
-        np.testing.assert_allclose(ratio, raw / normalizer, rtol=1e-12)
+        # Python's float power, and the IEEE quotient
+        assert normalizer == n ** -1.0 * math.log(n) ** 0.0
+        assert ratio == raw / normalizer
 
 
 def test_convergence_table_h1_d1():
     spec = WeightSpec(Family.H1_RATIO, s=2.0, d=1)
     p = sigma_prefix(spec, 10 ** 5)
-    rows = convergence_table(p, Embedding.HMIX_TO_H1, WidthKind.APPROXIMATION,
-                             [10 ** 5], alpha=1.0, beta=0.0)
-    [(_, _, _, ratio)] = rows
+    _, _, ratios = convergence_table(p, Embedding.HMIX_TO_H1,
+                                     WidthKind.APPROXIMATION, [10 ** 5],
+                                     alpha=1.0, beta=0.0)
+    [ratio] = ratios.tolist()
     assert abs(ratio - 2.0) < 0.001 * 2.0
 
 

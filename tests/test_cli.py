@@ -543,12 +543,14 @@ def test_numpy_free_commands_run_without_numpy(argv, code):
 
 
 def test_imports_load_no_numpy():
+    # nor the float kernels, which a float array column loads
     code = ("import sys, wienerwidths; print('numpy' in sys.modules); "
-            "import wienerwidths.cli; print('numpy' in sys.modules)")
+            "import wienerwidths.cli; print('numpy' in sys.modules, "
+            "'wienerwidths._floattext' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False", "False", "False"]
 
 
 def test_flagged_quadrature_prints_and_warns():
@@ -705,6 +707,23 @@ _WRITER_TABLES = [
 ]
 
 
+_FLOAT_KINDS = (cli._FLOAT, cli._FLOAT_RUNS)
+
+
+def _float_columns(columns, data, as_column):
+    """The data with every float column passed through ``as_column``."""
+    return [as_column(col) if kind in _FLOAT_KINDS else col
+            for (_, kind), col in zip(columns, data)]
+
+
+def _as_list(col):
+    return col.tolist() if hasattr(col, "tolist") else list(col)
+
+
+def _as_array(col):
+    return np.asarray(col, dtype=np.float64)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv", _WRITER_TABLES,
                          ids=lambda a: "-".join([a[0], *a[-2:]]))
@@ -715,6 +734,11 @@ def test_writer_matches_reference(argv, fmt):
     assert rows
     expected = _reference(args.command, fmt, columns, rows)
     assert _written(args.command, fmt, columns, data) == expected
+    # float columns print alike as Python lists, cell by cell, and as
+    # arrays, through the kernels
+    for as_column in (_as_list, _as_array):
+        floats = _float_columns(columns, data, as_column)
+        assert _written(args.command, fmt, columns, floats) == expected
     # an empty table is the header alone, or a JSON "rows": []; its data
     # hold no column (rows transposed) or empty ones
     for empty in ([], [[] for _ in columns]):
@@ -846,9 +870,13 @@ def _tables(draw):
                     if math.isfinite(stepped):
                         values[i] = stepped
         lengths = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-        cols.append([x for x, k in zip(values, lengths) for _ in range(k)][:n])
+        col = [x for x, k in zip(values, lengths) for _ in range(k)][:n]
+        # a float column is a list or an array, which the kernels print
+        if kind in _FLOAT_KINDS and draw(st.booleans()):
+            col = np.array(col, dtype=np.float64)
+        cols.append(col)
     size = draw(st.integers(1, max(n, 1)))
-    return columns, list(zip(*cols)), cols, size
+    return columns, _rows(cols), cols, size
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

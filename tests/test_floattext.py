@@ -1,0 +1,116 @@
+"""The float-to-text kernels against Python's own ``'%.17g' %`` and ``repr``,
+and how often they hand a cell back to Python."""
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wienerwidths import Family
+from wienerwidths._floattext import _decide, format_floats
+from wienerwidths.sigma import sigma_prefix
+from wienerwidths.weights import WeightSpec
+
+_SPECS = ["%.17g", "%r"]
+
+
+def _assert_exact(x: np.ndarray, spec: str) -> None:
+    got = format_floats(x, spec)
+    want = [spec % v for v in x.tolist()]
+    wrong = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert not wrong, wrong[:10]
+
+
+def _fallbacks(x: np.ndarray, spec: str) -> int:
+    with np.errstate(all="ignore"):
+        return int((~_decide(x, spec == "%r")[3]).sum())
+
+
+def _edges() -> tuple[np.ndarray, np.ndarray]:
+    """Signed zeros, infinities, nan, subnormals, the ends of the normal
+    range, powers of 2 and 10 and their neighbours, k/8, cumulative sums,
+    exact %.17g ties and integers past 2^53, where the ends of a rounding
+    interval are integers; and the mask of the normal ones that may go to
+    Python: the ties below 1e-6 and the powers of ten from 1e17 to 1e22,
+    which are doubles where the table's 10^q is not."""
+    special = [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+               2.225073858507201e-308, 1.7976931348623157e308]
+    powers = [2.0**k for k in range(-1074, 1024)]
+    powers += [float(f"1e{k}") for k in range(-323, 309)]
+    around = [y for p in powers
+              for y in (p, math.nextafter(p, 0), math.nextafter(p, math.inf))]
+    rng = np.random.default_rng(7)
+    # a 2^-b with 18 significant digits, the last a 5: 17 digits tie
+    ties = []
+    for b in range(1, 30):
+        lo = -(-10**17 // 5**b)
+        hi = min(10**18 // 5**b, 2**53)
+        if lo < hi:
+            ties += [a * 2.0**-b for a in rng.integers(lo, hi, 200) | 1]
+    big = rng.integers(2**53, 2**62, 20_000).astype(np.float64)
+    x = np.concatenate([
+        special, around, ties, big,
+        np.arange(-20_000, 20_000) / 8,
+        np.cumsum(1.0 / np.arange(1, 20_001) ** 2),
+        np.cumsum(np.arange(1, 20_001, dtype=np.float64) ** 3.5),
+        rng.random(20_000) * 10.0 ** rng.integers(-30, 30, 20_000),
+    ])
+    may = np.isin(x, [t for t in ties if t < 1e-6] + [10.0**k for k in range(17, 23)])
+    return np.concatenate([x, -x]), np.concatenate([may, may])
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_kernel_matches_python_on_random_bit_patterns(spec):
+    bits = np.random.default_rng(2025).integers(0, 2**64, 1_000_000,
+                                                dtype=np.uint64)
+    _assert_exact(bits.view(np.float64), spec)
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_kernel_matches_python_on_edges(spec):
+    x, may = _edges()
+    _assert_exact(x, spec)
+    # zeros, infinities, nan and subnormals go to Python, and of the
+    # normal numbers only those that may
+    with np.errstate(all="ignore"):
+        back = ~_decide(x, spec == "%r")[3]
+    normal = (np.abs(x) >= 2.2250738585072014e-308) & np.isfinite(x)
+    assert back[~normal].all()
+    assert not (back & normal & ~may).any(), x[back & normal & ~may][:10]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.floats(allow_subnormal=True), max_size=40),
+       st.sampled_from(_SPECS))
+def test_kernel_matches_python_on_any_floats(values, spec):
+    _assert_exact(np.array(values, dtype=np.float64), spec)
+
+
+def test_kernel_takes_lists_and_empty_columns():
+    assert format_floats([], "%r") == []
+    assert format_floats([1.5, -0.0, 0.1], "%.17g") == [
+        "1.5", "-0", "0.10000000000000001"]
+    assert format_floats(np.array([1e16, 0.1]), "%r") == ["1e+16", "0.1"]
+
+
+# every choice of the sigma-table benchmark's sigma commands
+_SIGMA_TABLE = [
+    *(("mixed-inf", s, None, 1) for s in ("5/4", "3/2", "7/4")),
+    *(("mixed-sr", s, 2.0, 3) for s in ("3/2", "5/4", "7/4")),
+    *(("h1-ratio", s, None, 2) for s in ("2", "15/8", "17/8")),
+]
+
+
+def test_few_sigma_table_cells_fall_back():
+    cells = fallbacks = 0
+    for family, s, r, d in _SIGMA_TABLE:
+        weight = WeightSpec(Family(family), s=float(Fraction(s)), d=d, r=r)
+        prefix = sigma_prefix(weight, 20_000)
+        for col in (prefix.values, prefix.cum_inv_sq):
+            cells += 2 * len(col)
+            fallbacks += sum(_fallbacks(col, spec) for spec in _SPECS)
+    assert fallbacks < cells / 1000
