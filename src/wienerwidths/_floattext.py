@@ -27,7 +27,8 @@ Every other element (0, -0, inf, nan, a subnormal, or a decision within
 the bound) goes to Python's own ``%`` or ``repr``, as Grisu3 (Loitsch
 2010) falls back to an exact method.  The text is assembled in fixed byte
 slots per element, NUL where a slot is empty, and the NULs are deleted by
-one ``bytes.translate``.
+one ``bytes.translate``.  A run of bit-identical elements is formatted
+once.
 """
 from __future__ import annotations
 
@@ -285,8 +286,23 @@ def _text(negative, D, decpt, ok, shortest: bool) -> list[str]:
 
 def format_floats(col: Sequence[float], spec: str) -> list[str]:
     """``[spec % x for x in col]`` for spec "%.17g" or "%r", computed on
-    the float64 array of ``col``."""
+    the float64 array of ``col``.  A run of bit-identical values, such as
+    sigma across an orbit, is formatted once and its text repeated along
+    the run; runs are found from the bits, so 0.0 and -0.0, which print
+    apart, never merge."""
     x = np.ascontiguousarray(col, dtype=np.float64).reshape(-1)
+    bits = x.view(np.uint64)
+    new = np.ones(len(x), dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    if len(starts) == len(x):
+        return _format(x, spec)
+    texts = np.array(_format(x[starts], spec), dtype=object)
+    return np.repeat(texts, np.diff(starts, append=len(x))).tolist()
+
+
+def _format(x: np.ndarray, spec: str) -> list[str]:
+    """``[spec % v for v in x]``, every element formatted."""
     shortest = spec == "%r"
     with np.errstate(all="ignore"):
         negative, D, decpt, ok = _decide(x, shortest)

@@ -14,27 +14,27 @@ are:
     appendix-verify  section, r, ell, j, r_ell, count, ratio, target, ok
     integral         n, value, limit, abs_dev
 
-One writer prints every table.  Each column has a kind (int, float, a
-float that repeats in runs, bool, or a mixed cell for the small tables),
-and the kinds give one printf row format per output format, so a block
-prints with one ``%``.  A float column of runs, such as sigma, which is
-equal across an orbit, formats each run of bit-identical values once and
-repeats the text.  The cell rules: CSV writes None as empty, bools as
-true/false, floats with 17 significant digits and '.' decimal separator;
-JSON writes null, true/false and ``repr`` floats, and a JSON table is
-``json.dumps(payload, indent=2)`` plus a newline.  A float column held as
-a numpy array prints through the two kernels of ``_floattext``, which give
-the bytes of ``'%.17g' % x`` and ``repr(x)`` a whole block at a time and
-hand each cell their error bound cannot decide (0, -0, inf, nan, a
-subnormal, an exact tie or an end of the rounding interval where the power
-of ten is no double) to Python's own ``%``; a list column prints cell by
-cell.  Output is byte-identical across runs.  Tables stream out a block
-at a time (``sigma`` hands over its prefix arrays, ``width`` and
-``converge`` their n grid and float64 arrays built from the one that
+One writer prints every table.  Each column has a kind (int, float, bool,
+or a mixed cell for the small tables), whose conversions turn a block of
+the column into its text cells, one per output format; every cell prints
+through ``%s``, so a block prints with one ``%`` of the row format.  The
+cell rules: CSV writes None as empty, bools as true/false, floats with 17
+significant digits and '.' decimal separator; JSON writes null, true/false
+and ``repr`` floats, and a JSON table is ``json.dumps(payload, indent=2)``
+plus a newline.  A float column held as a numpy array prints through the
+two kernels of ``_floattext``, which give the bytes of ``'%.17g' % x`` and
+``repr(x)`` a whole block at a time and hand each cell their error bound
+cannot decide (0, -0, inf, nan, a subnormal, an exact tie or an end of the
+rounding interval where the power of ten is no double) to Python's own
+``%``; a run of bit-identical values, such as sigma across an orbit, is
+formatted once.  A list column prints cell by cell.  Output is
+byte-identical across runs.  Tables stream out a block at a time
+(``sigma`` hands over its prefix arrays, ``width`` and ``converge`` their
+n grid and float64 arrays built from the one that
 ``widths._width_arrays`` returns, the small tables their rows transposed
-into columns), so peak memory is the prefix, 16
-bytes per row, plus a width's few arrays of 8 bytes per grid entry, plus
-one block; rows that can fail are all computed before the first byte.  An
+into columns), so peak memory is the prefix, 16 bytes per row, plus a
+width's few arrays of 8 bytes per grid entry, plus one block; rows that
+can fail are all computed before the first byte.  An
 exact width hands over its one value array as both lower and upper, and
 the writer converts each distinct column object once per block.  An n
 grid of several parts is held as an ``array("q")``, 8 bytes per entry.
@@ -255,49 +255,23 @@ def _floats(spec: str) -> Callable[[Sequence], list]:
     return convert
 
 
-def _by_runs(spec: str) -> Callable[[Sequence], list]:
-    """The column conversion that prints each run of bit-identical floats
-    once, as ``_floats(spec)`` does, and repeats the text along the run.
-    Runs are found on the bits, so 0.0 and -0.0, which print differently,
-    never merge."""
-
-    def convert(col: Sequence) -> list:
-        import numpy as np
-
-        from ._floattext import format_floats
-
-        col = np.asarray(col, dtype=np.float64)
-        bits = col.view(np.uint64)
-        new = np.ones(len(col), dtype=bool)
-        np.not_equal(bits[1:], bits[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        texts = np.array(format_floats(col[starts], spec), dtype=object)
-        return np.repeat(texts, np.diff(starts, append=len(col))).tolist()
-
-    return convert
-
-
 class _Kind(NamedTuple):
-    """How a column prints: one printf spec per format, applied to the cells
-    that the format's conversion makes of a block of the column."""
+    """How a column prints: one conversion per format, which makes a block
+    of the column into the cells that the row format's ``%s`` prints."""
 
-    csv: str
-    json: str
     to_csv: Callable[[Sequence], Sequence] = _listed
     to_json: Callable[[Sequence], Sequence] = _listed
 
 
 _TRUE_FALSE = {True: "true", False: "false"}.__getitem__
-_INT = _Kind("%d", "%d")
+# Python ints, which %s prints as %d does
+_INT = _Kind()
 # finite floats only: %r prints inf and nan where json.dumps prints
 # Infinity and NaN
-_FLOAT = _Kind("%s", "%s", _floats("%.17g"), _floats("%r"))
-# finite floats that repeat along runs, as sigma does across an orbit and
-# across orbits of equal weight; printed as _FLOAT prints them
-_FLOAT_RUNS = _Kind("%s", "%s", _by_runs("%.17g"), _by_runs("%r"))
-_BOOL = _Kind("%s", "%s", _each(_TRUE_FALSE), _each(_TRUE_FALSE))
+_FLOAT = _Kind(_floats("%.17g"), _floats("%r"))
+_BOOL = _Kind(_each(_TRUE_FALSE), _each(_TRUE_FALSE))
 # anything else: None, strings, bools, ints and floats mixed in one column
-_CELL = _Kind("%s", "%s", _each(_csv_cell), _each(json.dumps))
+_CELL = _Kind(_each(_csv_cell), _each(json.dumps))
 
 
 def _emit(
@@ -310,23 +284,21 @@ def _emit(
     column's conversion turns its slice of the block into cells (once for
     a column object ``data`` holds twice, under the same kind), which fill
     every len(columns)-th slot of the block's cell list, and the block
-    prints as one ``%`` of the row format, built from the column kinds and
-    repeated once per row.  A JSON row carries the ``indent=2`` layout and
+    prints as one ``%`` of the row format, a ``%s`` per column, repeated
+    once per row.  A JSON row carries the ``indent=2`` layout and
     its leading ",", which the first row drops, so a JSON table is
     ``json.dumps(payload, indent=2) + "\\n"`` byte for byte."""
     names = [name for name, _ in columns]
-    kinds = [kind for _, kind in columns]
+    ncol = len(columns)
     if args.format == "csv":
         head = ",".join(names) + "\n"
-        fmt = ",".join(k.csv for k in kinds) + "\n"
-        convert = [k.to_csv for k in kinds]
+        fmt = ",".join(["%s"] * ncol) + "\n"
+        convert = [kind.to_csv for _, kind in columns]
     else:
         payload = {"command": args.command, "columns": names, "rows": []}
         head = json.dumps(payload, indent=2)[:-3]  # ends with '"rows": ['
-        specs = ",\n      ".join(k.json for k in kinds)
-        fmt = ",\n    [\n      " + specs + "\n    ]"
-        convert = [k.to_json for k in kinds]
-    ncol = len(kinds)
+        fmt = ",\n    [\n      " + ",\n      ".join(["%s"] * ncol) + "\n    ]"
+        convert = [kind.to_json for _, kind in columns]
     nrow = len(data[0]) if data else 0
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
@@ -378,12 +350,11 @@ def _cmd_sigma(args: argparse.Namespace) -> Table:
         _refuse_above_cap(n_max)
         _check_box(spec, n_max, args.check_box_radius)
     prefix = _prefix(spec, n_max)
-    # cum_inv_sq rises at every row, so it has no runs to print once
-    columns = [("n", _INT), ("sigma", _FLOAT_RUNS), ("cum_inv_sq", _FLOAT)]
+    columns = [("n", _INT), ("sigma", _FLOAT), ("cum_inv_sq", _FLOAT)]
     data = [range(1, n_max + 1), prefix.values, prefix.cum_inv_sq]
     if args.check_box_radius is not None:
         data.append(sigma_bruteforce(spec, n_max, args.check_box_radius).values)
-        columns.append(("sigma_oracle", _FLOAT_RUNS))
+        columns.append(("sigma_oracle", _FLOAT))
     return columns, data
 
 
@@ -404,12 +375,10 @@ def _cmd_width(args: argparse.Namespace) -> Table:
     refuse_flat(spec, embedding, kind, n_hi)
     lower, upper, exact = _width_arrays(_prefix(spec, n), embedding, kind, ns,
                                         args.p)
-    # a bracket's upper end is sigma_n or a multiple of it, equal along
-    # runs; an exact pair's upper is its lower array itself, which _emit
-    # converts once, and by runs it becomes text once instead of being
-    # formatted twice; the exact column is one bool, viewed len(ns) times
-    columns = [("n", _INT), ("lower", _FLOAT_RUNS if exact else _FLOAT),
-               ("upper", _FLOAT_RUNS), ("exact", _BOOL)]
+    # an exact pair's upper is its lower array itself, which _emit
+    # converts once; the exact column is one bool, viewed len(ns) times
+    columns = [("n", _INT), ("lower", _FLOAT), ("upper", _FLOAT),
+               ("exact", _BOOL)]
     return columns, [ns, lower, upper, np.broadcast_to(exact, len(ns))]
 
 
@@ -438,7 +407,7 @@ def _cmd_converge(args: argparse.Namespace) -> Table:
     # the target is one float, viewed len(grid) times: one run
     target = np.broadcast_to(np.float64(args.target), len(grid))
     columns = [("n", _INT), ("raw", _FLOAT), ("normalizer", _FLOAT),
-               ("ratio", _FLOAT), ("target", _FLOAT_RUNS)]
+               ("ratio", _FLOAT), ("target", _FLOAT)]
     return columns, [grid, raw, normalizer, ratio, target]
 
 
@@ -500,8 +469,11 @@ def _cmd_integral(args: argparse.Namespace) -> Table:
     values = [(n, aux_integral(s, args.beta, args.a, n)) for n in grid]
     limit = 1.0 / (s + 1.0)
     rows = [[n, val, limit, abs(val - limit)] for n, val in values]
-    # quadrature values are not known finite, so they print as cells
-    columns = [("n", _INT), ("value", _CELL), ("limit", _CELL), ("abs_dev", _CELL)]
+    # finite: aux_integral returns a value only where its error estimate
+    # is at most 1e-10, which a nan or infinite sum fails, and refuses an
+    # integrand that overflows
+    columns = [("n", _INT), ("value", _FLOAT), ("limit", _FLOAT),
+               ("abs_dev", _FLOAT)]
     return columns, list(zip(*rows))
 
 

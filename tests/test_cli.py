@@ -19,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wienerwidths import Embedding, WidthKind, cli, lattice_count, sigma, width
+from wienerwidths import (
+    Embedding, ResourceLimitError, WidthKind, cli, lattice_count, sigma, width,
+)
 from wienerwidths import widths
 from wienerwidths.cli import _BLOCK, _parse_int, main
 
@@ -707,12 +709,9 @@ _WRITER_TABLES = [
 ]
 
 
-_FLOAT_KINDS = (cli._FLOAT, cli._FLOAT_RUNS)
-
-
 def _float_columns(columns, data, as_column):
     """The data with every float column passed through ``as_column``."""
-    return [as_column(col) if kind in _FLOAT_KINDS else col
+    return [as_column(col) if kind is cli._FLOAT else col
             for (_, kind), col in zip(columns, data)]
 
 
@@ -764,7 +763,7 @@ def _counted(calls):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_writer_converts_a_column_object_once_per_block(fmt):
     # an exact width hands its one value array over as lower and upper;
-    # a bracket's two ends are two arrays of two kinds
+    # a bracket's two ends are two arrays
     for embedding, shared in (("a-to-a", True), ("a-to-linf", False)):
         argv = ["width", *_MIXED_INF, "--embedding", embedding, "--kind",
                 "weyl", "--n", f"1..{2 * _BLOCK + 1}", "--format", fmt]
@@ -776,11 +775,9 @@ def test_writer_converts_a_column_object_once_per_block(fmt):
         columns = [(name, counted[kind]) for name, kind in columns]
         expected = _reference("width", fmt, columns, _rows(data))
         assert _written("width", fmt, columns, data) == expected
-        # three blocks: the shared array takes one call per block, as does
-        # a bracket's upper (its lower is a _FLOAT column)
-        assert calls[cli._FLOAT_RUNS] == 3
-        if not shared:
-            assert calls[cli._FLOAT] == 3
+        # three blocks: the shared array takes one call per block, a
+        # bracket's two ends two
+        assert calls[cli._FLOAT] == (3 if shared else 6)
     # one column object held twice under one kind, next to an equal copy
     col = np.arange(2 * _BLOCK + 1, dtype=np.float64)
     calls = {cli._FLOAT: 0}
@@ -807,7 +804,7 @@ _WIDTH_WEIGHTS = {
 def test_width_table_matches_width_values(embedding, kind, fmt, capsys):
     # the width table against csv.writer and json.dumps of width()'s
     # WidthValues: exact pairs (one value slice printed twice) and brackets
-    # (upper printed by runs), on a repeated, unsorted grid and on a range
+    # (upper equal along runs), on a repeated, unsorted grid and on a range
     # past one block
     weight = _WIDTH_WEIGHTS.get(embedding, _MIXED_INF)
     extra = ["--p", "4"] if embedding == "a-to-lp" else []
@@ -828,8 +825,7 @@ def test_width_table_matches_width_values(embedding, kind, fmt, capsys):
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _KIND_VALUES = {
     cli._INT: st.integers(),
-    cli._FLOAT: _FINITE,
-    cli._FLOAT_RUNS: st.sampled_from([0.0, 1.0]) | _FINITE,
+    cli._FLOAT: st.sampled_from([0.0, 1.0]) | _FINITE,
     cli._BOOL: st.booleans(),
     # the writer quotes as csv.writer does on Python 3.10 and 3.11, which
     # leave "\r" unquoted under a "\n" line end; text with "\r" is not
@@ -839,9 +835,8 @@ _KIND_VALUES = {
 }
 
 
-# A run of _FLOAT_RUNS may take its value from the run before it: negated
-# (0.0 then -0.0) or one ulp away, which compare equal or close but print
-# apart
+# A run of _FLOAT may take its value from the run before it: negated (0.0
+# then -0.0) or one ulp away, which compare equal or close but print apart
 _STEPS = [None, operator.neg, lambda x: math.nextafter(x, math.inf),
           lambda x: math.nextafter(x, -math.inf)]
 
@@ -859,7 +854,7 @@ def _tables(draw):
     cols = []
     for kind in kinds:
         values = draw(st.lists(_KIND_VALUES[kind], min_size=n, max_size=n))
-        if kind is cli._FLOAT_RUNS:
+        if kind is cli._FLOAT:
             steps = draw(st.lists(st.sampled_from(_STEPS), min_size=n,
                                   max_size=n))
             for i in range(1, n):
@@ -872,7 +867,7 @@ def _tables(draw):
         lengths = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
         col = [x for x, k in zip(values, lengths) for _ in range(k)][:n]
         # a float column is a list or an array, which the kernels print
-        if kind in _FLOAT_KINDS and draw(st.booleans()):
+        if kind is cli._FLOAT and draw(st.booleans()):
             col = np.array(col, dtype=np.float64)
         cols.append(col)
     size = draw(st.integers(1, max(n, 1)))
@@ -886,6 +881,29 @@ def test_writer_cell_rules(table, fmt):
     with mock.patch.object(cli, "_BLOCK", size):
         written = _written("t", fmt, columns, cols)
     assert written == _reference("t", fmt, columns, rows)
+
+
+@pytest.mark.filterwarnings("ignore::wienerwidths.asymptotics.IntegrationWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.floats(0, 20, exclude_min=True) | st.floats(0, 1e300, exclude_min=True),
+       st.floats(0, 20) | st.floats(0, 1e300),
+       st.floats(1, 10, exclude_min=True) | st.floats(1, 1e300, exclude_min=True),
+       st.lists(st.integers(11, 10**12) | st.integers(2, 10**300), min_size=1,
+                max_size=3))
+def test_integral_columns_are_finite(s, beta, a, grid):
+    # integral prints value, limit and abs_dev as _FLOAT columns, which
+    # hold finite floats only: a value comes back or the grid is refused;
+    # mostly moderate arguments, so that most grids come back
+    argv = ["integral", "--s", repr(s), "--beta", repr(beta), "--a", repr(a),
+            "--n-grid", ",".join(map(str, grid))]
+    args = cli._build_parser().parse_args(argv)
+    try:
+        columns, data = cli._DISPATCH["integral"](args)
+    except (ValueError, ResourceLimitError):
+        return
+    for (_, kind), col in zip(columns, data):
+        if kind is cli._FLOAT:
+            assert all(isinstance(x, float) and math.isfinite(x) for x in col)
 
 
 def test_failing_row_writes_nothing():

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wienerwidths import Family
+from wienerwidths import Family, _floattext
 from wienerwidths._floattext import _decide, format_floats
 from wienerwidths.sigma import sigma_prefix
 from wienerwidths.weights import WeightSpec
@@ -83,11 +83,48 @@ def test_kernel_matches_python_on_edges(spec):
     assert not (back & normal & ~may).any(), x[back & normal & ~may][:10]
 
 
+# lists with runs: each drawn value repeated one to four times
+_RUNS = st.lists(st.tuples(st.floats(allow_subnormal=True), st.integers(1, 4)),
+                 max_size=12).map(lambda p: [x for x, k in p for _ in range(k)])
+_ULP = math.nextafter(1.0, 2.0)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(st.lists(st.floats(allow_subnormal=True), max_size=40),
+@given(st.lists(st.floats(allow_subnormal=True), max_size=40) | _RUNS,
        st.sampled_from(_SPECS))
+# runs that compare equal or close but print apart: +-0 pairs and one-ulp
+# neighbours, and one all-equal list
+@example([0.0, 0.0, -0.0, -0.0, 0.0, 1.0, -0.0], "%.17g")
+@example([0.0, 0.0, -0.0, -0.0, 0.0, 1.0, -0.0], "%r")
+@example([1.0, 1.0, _ULP, _ULP, 1.0, math.nextafter(1.0, 0.0)] * 2, "%.17g")
+@example([1.0, 1.0, _ULP, _ULP, 1.0, math.nextafter(1.0, 0.0)] * 2, "%r")
+@example([0.1] * 25, "%.17g")
+@example([0.1] * 25, "%r")
 def test_kernel_matches_python_on_any_floats(values, spec):
     _assert_exact(np.array(values, dtype=np.float64), spec)
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_runs_are_formatted_once(spec, monkeypatch):
+    lengths = []
+    decide = _floattext._decide
+
+    def recording(x, shortest):
+        lengths.append(len(x))
+        return decide(x, shortest)
+
+    monkeypatch.setattr(_floattext, "_decide", recording)
+    # five runs, none of which merges with the next: bits, not values, part
+    # them
+    starts = [0.0, -0.0, 1.5, math.nextafter(1.5, 2.0), 0.0]
+    col = np.repeat(starts, [3, 1, 4, 2, 5])
+    assert format_floats(col, spec) == [spec % v for v in col.tolist()]
+    assert lengths == [len(starts)]
+    # no runs: every value
+    lengths.clear()
+    col = np.arange(-5.0, 5.0) / 3
+    assert format_floats(col, spec) == [spec % v for v in col.tolist()]
+    assert lengths == [len(col)]
 
 
 def test_kernel_takes_lists_and_empty_columns():
