@@ -15,26 +15,33 @@ are:
     integral         n, value, limit, abs_dev
 
 One writer prints every table.  Each column has a kind (int, float, bool,
-or a mixed cell for the small tables), whose conversions turn a block of
-the column into its text cells, one per output format; every cell prints
-through ``%s``, so a block prints with one ``%`` of the row format.  The
-cell rules: CSV writes None as empty, bools as true/false, floats with 17
-significant digits and '.' decimal separator; JSON writes null, true/false
-and ``repr`` floats, and a JSON table is ``json.dumps(payload, indent=2)``
-plus a newline.  A float column held as a numpy array prints through the
-two kernels of ``_floattext``, which give the bytes of ``'%.17g' % x`` and
-``repr(x)`` a whole block at a time and hand each cell their error bound
-cannot decide (0, -0, inf, nan, a subnormal, an exact tie or an end of the
-rounding interval where the power of ten is no double) to Python's own
+or a mixed cell for the small tables).  An array table, whose columns are
+numpy arrays or ints in a ``range`` or an ``array("q")`` (``sigma``,
+``width`` and ``converge``), prints as byte rows: the kernels of ``_floattext`` make each column's
+block into a matrix of one row of bytes per cell, NUL-padded, which the
+writer copies between the row's constant separator bytes into one row
+matrix per block; one ``bytes.replace`` deletes the padding and the block
+is written as one string.  The float kernels give the bytes of
+``'%.17g' % x`` and ``repr(x)``, and hand each cell their error bound
+cannot decide (0, -0, inf, nan, a subnormal, an exact tie or an end of
+the rounding interval where the power of ten is no double) to Python's own
 ``%``; a run of bit-identical values, such as sigma across an orbit, is
-formatted once.  A list column prints cell by cell.  Output is
+formatted once.  The small tables (``constants``, ``count``,
+``appendix-verify`` and ``integral``, which run without numpy) print
+through ``%s``: each column's conversion turns its block into text cells,
+and the block prints with one ``%`` of the row format.  The cell rules:
+CSV writes None as empty, bools as true/false, floats with 17
+significant digits and '.' decimal separator; JSON writes null,
+true/false and ``repr`` floats, and a JSON table is
+``json.dumps(payload, indent=2)`` plus a newline.  Output is
 byte-identical across runs.  Tables stream out a block at a time
 (``sigma`` hands over its prefix arrays, ``width`` and ``converge`` their
 n grid and float64 arrays built from the one that
 ``widths._width_arrays`` returns, the small tables their rows transposed
 into columns), so peak memory is the prefix, 16 bytes per row, plus a
-width's few arrays of 8 bytes per grid entry, plus one block; rows that
-can fail are all computed before the first byte.  An
+width's few arrays of 8 bytes per grid entry, plus one block and the
+kernels' block-long buffers, which are reused from block to block; rows
+that can fail are all computed before the first byte.  An
 exact width hands over its one value array as both lower and upper, and
 the writer converts each distinct column object once per block.  An n
 grid of several parts is held as an ``array("q")``, 8 bytes per entry.
@@ -54,7 +61,9 @@ Importing this module loads neither numpy nor ``_floattext``.  ``sigma``,
 call into the array modules (``sigma``, ``widths``, ``weights``), and
 ``constants`` where it sums the series S (``s-series``, and
 ``h1-constant`` at d > 1); ``integral``, ``count`` and the other constants
-run without it.  The first float array column loads ``_floattext``.
+run without it.  The first array table loads ``_floattext``.  ``main``
+asks OpenBLAS for one thread, unless the environment already says, before
+numpy loads: no command calls BLAS.
 """
 from __future__ import annotations
 
@@ -64,8 +73,9 @@ import math
 import os
 import sys
 import warnings
+from array import array
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .asymptotics import (
     CONSTANT_NAMES,
@@ -242,36 +252,127 @@ def _each(convert: Callable) -> Callable[[Sequence], list]:
 
 def _floats(spec: str) -> Callable[[Sequence], list]:
     """The column conversion that prints each float as ``spec % x`` ("%.17g"
-    or "%r"): an array through ``_floattext``'s kernel, a list cell by
-    cell."""
+    or "%r"), cell by cell."""
+    return lambda col: [spec % x for x in _listed(col)]
 
-    def convert(col: Sequence) -> list:
-        if hasattr(col, "tolist"):
-            from ._floattext import format_floats
 
-            return format_floats(col, spec)
-        return [spec % x for x in col]
+def _kernel(name: str) -> Callable:
+    """The byte conversion through ``_floattext``'s kernel ``name``, which
+    makes a block of an array column into its matrix of cells (``repr``
+    floats where ``shortest``) in the buffer ``out``, with temporaries in
+    ``work``; the module loads at the first call."""
+
+    def convert(col: Sequence, shortest: bool, work, out):
+        from . import _floattext
+
+        return getattr(_floattext, name)(col, shortest, work, out)
 
     return convert
 
 
 class _Kind(NamedTuple):
     """How a column prints: one conversion per format, which makes a block
-    of the column into the cells that the row format's ``%s`` prints."""
+    of the column into the cells that the row format's ``%s`` prints, and
+    the byte conversion of an array column, None where it has none."""
 
     to_csv: Callable[[Sequence], Sequence] = _listed
     to_json: Callable[[Sequence], Sequence] = _listed
+    to_bytes: Callable | None = None
 
 
 _TRUE_FALSE = {True: "true", False: "false"}.__getitem__
 # Python ints, which %s prints as %d does
-_INT = _Kind()
+_INT = _Kind(to_bytes=_kernel("int_cells"))
 # finite floats only: %r prints inf and nan where json.dumps prints
 # Infinity and NaN
-_FLOAT = _Kind(_floats("%.17g"), _floats("%r"))
-_BOOL = _Kind(_each(_TRUE_FALSE), _each(_TRUE_FALSE))
+_FLOAT = _Kind(_floats("%.17g"), _floats("%r"), _kernel("float_cells"))
+_BOOL = _Kind(_each(_TRUE_FALSE), _each(_TRUE_FALSE), _kernel("bool_cells"))
 # anything else: None, strings, bools, ints and floats mixed in one column
 _CELL = _Kind(_each(_csv_cell), _each(json.dumps))
+
+
+def _arrays(columns: Columns, data: Sequence[Sequence]) -> bool:
+    """Whether the table prints as byte rows: every column has a byte
+    conversion and is a numpy array, or a range or ``array("q")`` of ints."""
+    np = sys.modules.get("numpy")
+    return np is not None and bool(data) and all(
+        kind.to_bytes is not None
+        and (isinstance(col, (np.ndarray, range))
+             or isinstance(col, array) and col.typecode == "q")
+        for (_, kind), col in zip(columns, data))
+
+
+def _text_blocks(
+    fmt: str, columns: Columns, data: Sequence[Sequence], segments: list[str]
+) -> Iterator[str]:
+    """The blocks' text through ``%``: each column's conversion turns its
+    slice of the block into cells, which fill every len(columns)-th slot
+    of the block's cell list, and the block prints as one ``%`` of the row
+    format, the segments with a ``%s`` between each two, once per row."""
+    ncol = len(columns)
+    row = "%s".join(segments)
+    convert = [kind.to_csv if fmt == "csv" else kind.to_json
+               for _, kind in columns]
+    nrow = len(data[0]) if data else 0
+    for lo in range(0, nrow, _BLOCK):
+        hi = min(lo + _BLOCK, nrow)
+        cells = [None] * ((hi - lo) * ncol)
+        done = {}  # (conversion, column) -> cells, once per block
+        for j, (f, col) in enumerate(zip(convert, data)):
+            key = (f, id(col))
+            if key not in done:
+                done[key] = f(col[lo:hi])
+            cells[j::ncol] = done[key]
+        yield (row * (hi - lo)) % tuple(cells)
+
+
+def _byte_blocks(
+    fmt: str, columns: Columns, data: Sequence[Sequence], segments: list[str]
+) -> Iterator[str]:
+    """The blocks' text as byte rows: each column's byte conversion turns
+    its slice of the block into a matrix of one row of bytes per cell, NUL
+    where a cell leaves a slot of its column empty, which is copied into
+    the block's row matrix between the segments' constant bytes; one
+    ``bytes.replace`` deletes the NULs and the block is decoded once.  The
+    row matrix, the columns' cell buffers and the kernels' temporaries
+    are allocated once per table, and the segments are written again only
+    where the block's layout (its rows and the columns' widths) changes."""
+    import numpy as np
+
+    from ._floattext import WIDEST, Work, buffer
+
+    shortest = fmt == "json"
+    convert = [kind.to_bytes for _, kind in columns]
+    fixed = [np.frombuffer(seg.encode(), dtype=np.uint8) for seg in segments]
+    between = sum(map(len, fixed))
+    nrow = len(data[0])
+    block = min(nrow, _BLOCK)
+    buf = np.empty(block * (between + WIDEST * len(columns)), dtype=np.uint8)
+    work = Work(block)
+    held = [buffer(block) for _ in columns]
+    layout = None
+    for lo in range(0, nrow, _BLOCK):
+        hi = min(lo + _BLOCK, nrow)
+        done = {}  # (conversion, column) -> cells, once per block
+        cells = []
+        for f, col, out in zip(convert, data, held):
+            key = (f, id(col))
+            if key not in done:
+                done[key] = f(col[lo:hi], shortest, work, out)
+            cells.append(done[key])
+        widths = [c.shape[1] for c in cells]
+        rows = buf[:(hi - lo) * (between + sum(widths))].reshape(hi - lo, -1)
+        if layout != (hi - lo, widths):
+            layout = (hi - lo, widths)
+            places, at = [], 0
+            for seg, width in zip(fixed, [*widths, 0]):
+                rows[:, at:at + len(seg)] = seg
+                at += len(seg)
+                places.append(at)
+                at += width
+        for at, c in zip(places, cells):
+            rows[:, at:at + c.shape[1]] = c
+        yield rows.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _emit(
@@ -280,40 +381,31 @@ def _emit(
     """Write the table to --output or the current stdout, a block at a time.
 
     ``data`` holds one sequence per column, of equal lengths (none for an
-    empty table), and a block is at most ``_BLOCK`` rows of them.  Each
-    column's conversion turns its slice of the block into cells (once for
-    a column object ``data`` holds twice, under the same kind), which fill
-    every len(columns)-th slot of the block's cell list, and the block
-    prints as one ``%`` of the row format, a ``%s`` per column, repeated
-    once per row.  A JSON row carries the ``indent=2`` layout and
-    its leading ",", which the first row drops, so a JSON table is
-    ``json.dumps(payload, indent=2) + "\\n"`` byte for byte."""
+    empty table), and a block is at most ``_BLOCK`` rows of them.  A row is
+    its cells between constant segments: CSV's "," and line end, or JSON's
+    ``indent=2`` layout with its leading ",", which the first row drops, so
+    a JSON table is ``json.dumps(payload, indent=2) + "\\n"`` byte for
+    byte.  An array table (``sigma``, ``width``, ``converge``) prints as
+    byte rows, the small tables through ``%s``; either way a column object
+    that ``data`` holds twice under one kind is converted once per
+    block."""
     names = [name for name, _ in columns]
-    ncol = len(columns)
+    commas = [","] * (len(columns) - 1)
     if args.format == "csv":
         head = ",".join(names) + "\n"
-        fmt = ",".join(["%s"] * ncol) + "\n"
-        convert = [kind.to_csv for _, kind in columns]
+        segments = ["", *commas, "\n"]
     else:
         payload = {"command": args.command, "columns": names, "rows": []}
         head = json.dumps(payload, indent=2)[:-3]  # ends with '"rows": ['
-        fmt = ",\n    [\n      " + ",\n      ".join(["%s"] * ncol) + "\n    ]"
-        convert = [kind.to_json for _, kind in columns]
-    nrow = len(data[0]) if data else 0
+        segments = [",\n    [\n      ",
+                    *(comma + "\n      " for comma in commas), "\n    ]"]
+    blocks = _byte_blocks if _arrays(columns, data) else _text_blocks
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
         out.write(head)
         skip = 0 if args.format == "csv" else 1
-        for lo in range(0, nrow, _BLOCK):
-            hi = min(lo + _BLOCK, nrow)
-            cells = [None] * ((hi - lo) * ncol)
-            done = {}  # (conversion, column) -> cells, once per block
-            for j, (f, col) in enumerate(zip(convert, data)):
-                key = (f, id(col))
-                if key not in done:
-                    done[key] = f(col[lo:hi])
-                cells[j::ncol] = done[key]
-            out.write(((fmt * (hi - lo)) % tuple(cells))[skip:])
+        for text in blocks(args.format, columns, data, segments):
+            out.write(text[skip:])
             skip = 0
         if args.format == "json":
             out.write("]\n}\n" if skip else "\n  ]\n}\n")  # '[]' when empty
@@ -589,6 +681,10 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # No command calls BLAS (the one einsum sums integer rows in numpy's
+    # own loop), so OpenBLAS need not start a thread per core when numpy
+    # loads; a caller's setting stands
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _build_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning

@@ -555,6 +555,27 @@ def test_imports_load_no_numpy():
     assert out.stdout.split() == ["False", "False", "False"]
 
 
+def test_openblas_threads_default(monkeypatch, capsys):
+    # importing the module leaves the environment alone; main asks
+    # OpenBLAS for one thread unless the caller chose a number
+    code = ("import os; before = dict(os.environ); import wienerwidths.cli; "
+            "print(dict(os.environ) == before, "
+            "'OPENBLAS_NUM_THREADS' in os.environ)")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "False"]
+    argv = ["constants", "--name", "transfer-uv", "--s", "1"]
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert main(argv) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert main(argv) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    capsys.readouterr()
+
+
 def test_flagged_quadrature_prints_and_warns():
     # QUADPACK flags this integral (ier 4) but its error estimate meets
     # 1e-10, so the value prints and a warning goes to stderr
@@ -706,6 +727,9 @@ _WRITER_TABLES = [
     ["integral", "--s", "1", "--beta", "1", "--a", "2", "--n-grid", "10,1e4"],
     # one row, exactly one block, and one row past a block boundary
     *(["sigma", *_MIXED_INF, "--n", str(n)] for n in (1, _BLOCK, _BLOCK + 1)),
+    # an array("q") grid whose n cross 9 -> 10 and 99999 -> 100000
+    ["width", *_MIXED_INF, "--embedding", "a-to-a", "--kind", "weyl",
+     "--n", "9,10,3,99999,100000,1"],
 ]
 
 
@@ -750,13 +774,14 @@ def _counted(calls):
     calls there."""
 
     def counting(key, f):
-        def convert(col):
+        def convert(col, *args):
             calls[key] += 1
-            return f(col)
-        return convert
+            return f(col, *args)
+        return convert if f else None
 
     return {kind: kind._replace(to_csv=counting(kind, kind.to_csv),
-                                to_json=counting(kind, kind.to_json))
+                                to_json=counting(kind, kind.to_json),
+                                to_bytes=counting(kind, kind.to_bytes))
             for kind in calls}
 
 
@@ -835,6 +860,9 @@ _KIND_VALUES = {
 }
 
 
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
 # A run of _FLOAT may take its value from the run before it: negated (0.0
 # then -0.0) or one ulp away, which compare equal or close but print apart
 _STEPS = [None, operator.neg, lambda x: math.nextafter(x, math.inf),
@@ -847,13 +875,25 @@ def _tables(draw):
     size, so that runs of equal cells cross block ends."""
     # every table has at least two columns (csv.writer quotes a lone empty
     # field)
-    kinds = draw(st.lists(st.sampled_from(list(_KIND_VALUES)), min_size=2,
-                          max_size=5))
+    # half the tables hold arrays only, which print as byte rows
+    arrays = draw(st.booleans())
+    kinds = draw(st.lists(st.sampled_from([cli._INT, cli._FLOAT, cli._BOOL]
+                                          if arrays else list(_KIND_VALUES)),
+                          min_size=2, max_size=5))
     columns = [(f"c{i}", kind) for i, kind in enumerate(kinds)]
     n = draw(st.integers(0, 12))
     cols = []
     for kind in kinds:
-        values = draw(st.lists(_KIND_VALUES[kind], min_size=n, max_size=n))
+        # an int column is a list of any ints, or int64 values as an
+        # array("q") or a range, which the byte rows print
+        packed = kind is cli._INT and (arrays or draw(st.booleans()))
+        if packed and n and draw(st.booleans()):
+            step = draw(st.sampled_from([1, -1, 7]))
+            start = draw(st.integers(-(2**62), 2**62))
+            cols.append(range(start, start + n * step, step))
+            continue
+        values = draw(st.lists(_INT64 if packed else _KIND_VALUES[kind],
+                               min_size=n, max_size=n))
         if kind is cli._FLOAT:
             steps = draw(st.lists(st.sampled_from(_STEPS), min_size=n,
                                   max_size=n))
@@ -866,9 +906,12 @@ def _tables(draw):
                         values[i] = stepped
         lengths = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
         col = [x for x, k in zip(values, lengths) for _ in range(k)][:n]
-        # a float column is a list or an array, which the kernels print
-        if kind is cli._FLOAT and draw(st.booleans()):
-            col = np.array(col, dtype=np.float64)
+        # a float or bool column is a list or an array, which the kernels
+        # print
+        if packed:
+            col = array("q", col)
+        elif kind in (cli._FLOAT, cli._BOOL) and (arrays or draw(st.booleans())):
+            col = np.array(col, dtype=np.float64 if kind is cli._FLOAT else bool)
         cols.append(col)
     size = draw(st.integers(1, max(n, 1)))
     return columns, _rows(cols), cols, size
@@ -881,6 +924,51 @@ def test_writer_cell_rules(table, fmt):
     with mock.patch.object(cli, "_BLOCK", size):
         written = _written("t", fmt, columns, cols)
     assert written == _reference("t", fmt, columns, rows)
+
+
+# the least subnormal, and an exact %.17g tie below 1e-6: cells the
+# kernels' bound leaves to Python
+_UNDECIDED = [5e-324, 3 * 2.0**-24]
+
+
+def _byte_tables():
+    """(name, columns, data, block size) of array tables whose hard cases
+    fall on the rows next to a block end."""
+    ints, floats, bools = cli._INT, cli._FLOAT, cli._BOOL
+    n = np.arange(1, 25)
+    undecided = np.linspace(1.5, 2.5, 24)
+    undecided[[0, 7, 8, 15, 16, 23]] = _UNDECIDED * 3
+    runs = np.repeat([0.1, 0.2, -0.0, 0.0, 0.2, 1e-300], [5, 7, 3, 6, 2, 1])
+    yield "9 to 10 inside a block", [("n", ints), ("x", floats)], [
+        range(1, 25), n / 3], 10
+    yield "9 to 10 at a block end", [("n", ints), ("x", floats)], [
+        range(1, 25), n / 3], 9
+    yield "99999 to 100000 inside and at a block end", [
+        ("n", ints), ("m", ints), ("x", floats)], [
+        range(99990, 100014), range(99994, 100018), n * 1e5], 10
+    yield "array(q)", [("n", ints), ("ok", bools)], [
+        array("q", [9, 10, 3, 99999, 100000, 1, 2**63 - 1, 5]),
+        np.broadcast_to(True, 8)], 3
+    yield "undecided first and last rows", [("n", ints), ("x", floats),
+                                             ("y", floats)], [
+        range(1, 25), undecided, -undecided], 8
+    yield "runs across block ends", [("n", ints), ("x", floats),
+                                      ("ok", bools)], [
+        range(1, 25), runs, runs > 0.1], 4
+    yield "one row", [("n", ints), ("x", floats)], [range(7, 8), n[:1] / 7], 8
+    yield "empty", [("n", ints), ("x", floats)], [range(1, 1), n[:0] / 7], 8
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_byte_rows(fmt):
+    # array tables print as byte rows: the same text as the reference,
+    # block by block, through the kernels and not cell by cell
+    for name, columns, data, size in _byte_tables():
+        assert cli._arrays(columns, data), name
+        with mock.patch.object(cli, "_BLOCK", size), \
+                mock.patch.object(cli, "_text_blocks", None):
+            written = _written("t", fmt, columns, data)
+        assert written == _reference("t", fmt, columns, _rows(data)), name
 
 
 @pytest.mark.filterwarnings("ignore::wienerwidths.asymptotics.IntegrationWarning")

@@ -1,5 +1,6 @@
-"""The float-to-text kernels against Python's own ``'%.17g' %`` and ``repr``,
-and how often they hand a cell back to Python."""
+"""The cell kernels against Python's own text: floats against
+``'%.17g' %`` and ``repr``, their byte cells decoded, and how often they
+hand a cell back to Python; ints against ``'%d' %``, and bools."""
 from __future__ import annotations
 
 import math
@@ -11,23 +12,46 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wienerwidths import Family, _floattext
-from wienerwidths._floattext import _decide, format_floats
+from wienerwidths._floattext import (
+    Work,
+    _decide,
+    bool_cells,
+    buffer,
+    float_cells,
+    int_cells,
+)
 from wienerwidths.sigma import sigma_prefix
 from wienerwidths.weights import WeightSpec
 
 _SPECS = ["%.17g", "%r"]
 
 
+def _decoded(cells: np.ndarray) -> list[str]:
+    """A kernel's cells as text: each row's bytes, NULs deleted."""
+    rows = np.full((len(cells), cells.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    rows[:, :-1] = cells
+    return rows.tobytes().replace(b"\0", b"").decode("ascii").split("\n")[:-1]
+
+
+def _text(col, spec: str, block: int = 1 << 16) -> list[str]:
+    """The cells of ``col`` through ``float_cells``, a block at a time
+    into one ``Work``, as the writer calls it."""
+    work, out = Work(block), buffer(block)
+    return [cell for lo in range(0, len(col), block)
+            for cell in _decoded(float_cells(col[lo:lo + block], spec == "%r",
+                                             work, out))]
+
+
 def _assert_exact(x: np.ndarray, spec: str) -> None:
-    got = format_floats(x, spec)
+    got = _text(x, spec)
     want = [spec % v for v in x.tolist()]
     wrong = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
-    assert not wrong, wrong[:10]
+    assert not wrong and len(got) == len(want), wrong[:10]
 
 
 def _fallbacks(x: np.ndarray, spec: str) -> int:
     with np.errstate(all="ignore"):
-        return int((~_decide(x, spec == "%r")[3]).sum())
+        return int((~_decide(x, spec == "%r", Work(len(x)))[3]).sum())
 
 
 def _edges() -> tuple[np.ndarray, np.ndarray]:
@@ -77,7 +101,7 @@ def test_kernel_matches_python_on_edges(spec):
     # zeros, infinities, nan and subnormals go to Python, and of the
     # normal numbers only those that may
     with np.errstate(all="ignore"):
-        back = ~_decide(x, spec == "%r")[3]
+        back = ~_decide(x, spec == "%r", Work(len(x)))[3]
     normal = (np.abs(x) >= 2.2250738585072014e-308) & np.isfinite(x)
     assert back[~normal].all()
     assert not (back & normal & ~may).any(), x[back & normal & ~may][:10]
@@ -109,29 +133,61 @@ def test_runs_are_formatted_once(spec, monkeypatch):
     lengths = []
     decide = _floattext._decide
 
-    def recording(x, shortest):
+    def recording(x, shortest, work):
         lengths.append(len(x))
-        return decide(x, shortest)
+        return decide(x, shortest, work)
 
     monkeypatch.setattr(_floattext, "_decide", recording)
     # five runs, none of which merges with the next: bits, not values, part
     # them
     starts = [0.0, -0.0, 1.5, math.nextafter(1.5, 2.0), 0.0]
     col = np.repeat(starts, [3, 1, 4, 2, 5])
-    assert format_floats(col, spec) == [spec % v for v in col.tolist()]
+    assert _text(col, spec) == [spec % v for v in col.tolist()]
     assert lengths == [len(starts)]
     # no runs: every value
     lengths.clear()
     col = np.arange(-5.0, 5.0) / 3
-    assert format_floats(col, spec) == [spec % v for v in col.tolist()]
+    assert _text(col, spec) == [spec % v for v in col.tolist()]
     assert lengths == [len(col)]
 
 
 def test_kernel_takes_lists_and_empty_columns():
-    assert format_floats([], "%r") == []
-    assert format_floats([1.5, -0.0, 0.1], "%.17g") == [
-        "1.5", "-0", "0.10000000000000001"]
-    assert format_floats(np.array([1e16, 0.1]), "%r") == ["1e+16", "0.1"]
+    assert _text([], "%r") == []
+    assert _text([1.5, -0.0, 0.1], "%.17g") == ["1.5", "-0", "0.10000000000000001"]
+    assert _text(np.array([1e16, 0.1]), "%r") == ["1e+16", "0.1"]
+
+
+def test_work_is_reused_across_blocks():
+    # a long block, then a shorter one with a narrower layout, then one
+    # that needs a sign and an exponent: each returns its own cells
+    work, out = Work(64), buffer(64)
+    for col in (np.arange(64) * 1e10, [0.5, 0.25], [-1e-300, 2.0]):
+        for spec in _SPECS:
+            got = _decoded(float_cells(col, spec == "%r", work, out))
+            assert got == [spec % v for v in np.asarray(col).tolist()]
+
+
+_INTS = [0, 1, 9, 10, 99, 100, 9999, 10000, 99999, 100000, 10**17,
+         2**63 - 1, -1, -9, -10, -10000, -(2**63)]
+
+
+def test_int_kernel_matches_python():
+    work, out = Work(32), buffer(32)
+    for values in ([0], [7], _INTS, _INTS[::-1], [5, -5, 0, 12345678]):
+        got = _decoded(int_cells(np.array(values, dtype=np.int64), False, work, out))
+        assert got == ["%d" % v for v in values]
+    # ranges, also past a digit boundary and counting down
+    for r in (range(1, 12), range(9995, 10005), range(12, -3, -1), range(5, 6),
+              range(-10**6, -10**6 + 3)):
+        assert _decoded(int_cells(r, True, work, out)) == ["%d" % v for v in r]
+
+
+def test_bool_kernel():
+    col = np.array([True, False, False, True])
+    assert _decoded(bool_cells(col, False, Work(4), buffer(4))) == [
+        "true", "false", "false", "true"]
+    assert _decoded(bool_cells(np.broadcast_to(False, 3), True, Work(3),
+                               buffer(3))) == ["false"] * 3
 
 
 # every choice of the sigma-table benchmark's sigma commands
