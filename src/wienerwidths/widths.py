@@ -46,43 +46,40 @@ whose supremum over h' > h is max((h-n+2)/(S_h + sigma_h^-2), sigma_h^2)
 because the bound is monotone in h' with limit sigma_h^2.  Once that ceiling
 drops to the incumbent, the incumbent is the supremum and the smallest
 maximizer has already been seen.  This needs nothing beyond sigma being
-nonincreasing, so it is sound in every regime (including flat prefixes,
-where the coarser ceiling 2 sigma_{ceil(h/2)}^2 would never fire).
+nonincreasing, so it holds in every regime (including flat prefixes, where
+the coarser ceiling 2 sigma_{ceil(h/2)}^2 would never fire).  It bounds real
+ratios but compares rounded ones: where S drifts by ulps along a plateau (a
+plain float cumsum, not ``sigma_prefix``'s compensated one) it can fire an
+ulp short, and then where a window ends moves the last bit.
 
 ``width`` evaluates the sup for a whole grid in one forward pass over the
-sorted distinct n, and each scan starts at the previous n's maximizer h
-instead of at n.  This skips no winner: if h' < h loses to h at some n
-(strictly, in floats, hence in reals), it loses at every larger n, because
-both numerators drop by the same amount while S_{h'} < S_h; correctly
-rounded division keeps that order, so a skipped h' never exceeds the value.
-Up to 64 consecutive grid entries are evaluated at once, as one matrix over
-a window of values of h; each row keeps its running max and smallest
-argmax, gets the same ceiling test at the window's end, and the leading
-certified rows are kept.  Entries past the first window's end are left out
-of the block, since they cannot certify in it.  The first block's window
-holds 2048 values of h.  Each later block's first window is sized from what
-the last block measured: twice its span, from its first h to one past its
-last certified maximizer (the certificate fires there on dense grids),
-clamped to [128, 2048].  On the benchmark's dense grids the span is 96 to
-174 values for 64 rows, so the pass divides about a tenth as often as with
-2048-wide windows; the lower clamp keeps a sparse grid's one-row blocks
-from shrinking to a few values each.  Where a window ends is no part of the
-certificate, so its size moves no value.  A block whose first row does not
-certify (a single n far from its maximizer, flat stretches of the prefix, a
-jump past the last block's span) moves on to the next window, twice as wide
-(up to 2^20 values of h, as in ``sup_over_h``), with half its rows, so the
-matrix never holds more than 64 x 2048 floats until one row is left.  At
-the end of a prefix from ``sigma_prefix`` where the certificate has not
-fired, its walk (``SigmaPrefix.resume``) takes as many terms again, up to
-the prefix cap, into a buffer of the block's h on, and the pass reads on
-with the same rows and window: the certificate alone decides how far a
-prefix reaches.  A prefix built from arrays raises ``sup_over_h``'s
-PrefixTooShortError there instead.
-The pass fills one array over the sorted distinct grid, takes its square
-roots at once (IEEE sqrt, correctly rounded as ``math.sqrt`` is) and maps
-the results back to the grid's order, repeats and all.  It never calls
-``sup_over_h``, which stays as the independent per-n reference, and every
-value is the one ``sup_over_h(prefix, n)[0]`` returns, to the last bit.
+sorted distinct n.  With w_h = sigma_h^-2 (nondecreasing),
+f_n(h) = (h-n+1)/S_h and g(h) = h + 1 - S_h / w_{h+1}, f_n(h+1) >= f_n(h)
+iff n >= g(h), and
+g(h+1) - g(h) = (1 - w_{h+1}/w_{h+2}) + S_h (1/w_{h+1} - 1/w_{h+2}) >= 0:
+f_n is unimodal, and its smallest maximizer h*(n) = min{h : g(h) >= n} is
+nondecreasing in n (Dinkelbach's parametric view of a ratio, 1967).  For a
+chunk of rows from lo = max(first n, last maximizer), the running max of
+float g over about twice the chunk's spread guesses h* as a, where it first
+reaches n.  Row i scans [L_i, R_i], from max(n_i, a_{i-1} - 2) (the first
+row from lo) to the first h past a_i + 1 where sigma_h^2 falls to f_n(a_i);
+the leading windows within one budget of _CELLS values make one flat array.
+A row is final when the ceiling at R_i falls to its max, and when
+L_i <= max(n_i, m), m the last row's maximizer: an h' < m lost to m at a
+smaller n (strictly, in floats, hence in reals), so it loses at every larger
+n, since both numerators drop by the same amount while S_h' < S_m (correctly
+rounded division keeps that order).  The leading final rows are kept, and
+the next chunk starts at the first row that is not; its start is proven.
+If its ceiling does not fire either (at the prefix's end, at the budget, or
+past a bad guess), it scans on alone from R_i, keeping its running max, in
+consecutive windows that double up to _CELLS: a guess costs time.  At the
+end of a prefix from ``sigma_prefix``, its walk (``SigmaPrefix.resume``)
+takes as many terms again, up to the cap, into a buffer of the row's h on; a
+prefix built from arrays raises ``sup_over_h``'s PrefixTooShortError there.
+The square roots are taken at once (IEEE sqrt, correctly rounded as
+``math.sqrt`` is) and mapped back to the grid's order, repeats and all.  The
+pass never calls ``sup_over_h``, the per-n reference; on ``sigma_prefix``'s
+prefixes the tests find its values to the last bit.
 """
 from __future__ import annotations
 
@@ -125,15 +122,9 @@ _SUP_EMBEDDINGS = (
 )
 
 
-# the grid pass evaluates up to _BLOCK_ROWS grid entries at once over a
-# window of at most _BLOCK_WIDTH values of h: one matrix of at most
-# 64 x 2048 floats, 1 MB; the first block's window is _BLOCK_WIDTH wide and
-# later ones twice the span the last block used, from 2 x _BLOCK_ROWS up;
-# a block that does not certify doubles its window up to _MAX_WIDTH, the
-# last chunk of sup_over_h, and halves its rows
-_BLOCK_ROWS = 64
-_BLOCK_WIDTH = 2048
-_MAX_WIDTH = 1 << 20
+# the grid pass evaluates at most _CELLS values of (h - n + 1) / S_h at once
+# (1 MB): a chunk's windows together, or one window of a row alone
+_CELLS = 1 << 17
 
 
 def needs_sup(embedding: Embedding, kind: WidthKind) -> bool:
@@ -369,89 +360,97 @@ def _width_arrays(
 
 def _sup_values(prefix: SigmaPrefix, ns: np.ndarray) -> np.ndarray:
     """``sup_over_h(prefix, n)[0]`` for every n of the int64 array ``ns``,
-    in its order, by the warm-started, blocked grid pass of the module
-    docstring."""
-    N = prefix.n_max
-    S = prefix.cum_inv_sq
-    sig = prefix.values
-    base = 0  # S and sig hold h = base + 1 .. N
-    walk = None
-    # the sorted distinct grid
+    in its order, by the located grid pass of the module docstring."""
+    N, S, sig = prefix.n_max, prefix.cum_inv_sq, prefix.values
+    base, walk = 0, None  # S and sig hold h = base + 1 .. N
+    # the sorted distinct grid (a bool mask: no int64 temporary of its size)
     order = np.sort(ns)
-    if order.size:
-        order = order[np.flatnonzero(np.diff(order, prepend=0))]
+    order = order[np.r_[True, order[1:] != order[:-1]]] if order.size else order
     found = np.empty(len(order))  # the sup of (h - n + 1) / S_h at each n
-    warm = 1  # maximizer of the last n answered
-    step = _BLOCK_WIDTH  # the first window; later ones follow the last block
-    i = 0
+    warm, i = 1, 0  # the maximizer of the last n answered, and the next n
     while i < len(order):
-        lo = start = max(int(order[i]), warm)
-        end = lo + step - 1  # the window's last h
-        hi = min(end, N)
-        # a row with n > hi has no h >= n in the first window and cannot
-        # certify in it
-        rows = order[i : i + _BLOCK_ROWS]
-        rows = rows[: np.searchsorted(rows, hi, side="right")]
-        best = np.full(len(rows), -math.inf)
-        arg = np.zeros(len(rows), dtype=np.int64)
-        while True:
-            # (h - n + 1) / S_h, as in sup_over_h: the integer differences
-            # are exact in float64
-            vals = np.subtract(np.arange(lo, hi + 1), rows[:, None] - 1,
-                               dtype=np.float64)
-            vals /= S[lo - 1 - base : hi - base]
-            at = np.argmax(vals, axis=1)
-            top = vals[np.arange(len(rows)), at]
-            # strict, so the smallest maximizer wins
-            better = top > best
-            best = np.where(better, top, best)
-            arg = np.where(better, lo + at, arg)
-            # sup_over_h's ceiling at hi, one per row
-            s_hi = sig[hi - 1 - base]
-            b = 1.0 / (s_hi * s_hi)
-            ceiling = np.maximum((hi - rows + 2) / (S[hi - 1 - base] + b),
-                                 s_hi * s_hi)
-            ok = ceiling <= best
-            k = len(rows) if ok.all() else int(np.argmin(ok))
-            if k:
-                break
-            if hi == N:
-                walk = walk or prefix.resume()
-                if walk is None:
-                    raise PrefixTooShortError(
-                        2 * N,
-                        f"prefix exhausted before certificate at n={order[i]}; "
-                        f"retry with at least {2 * N} terms",
-                    )
-                if N >= _PREFIX_CAP:
-                    _refuse_above_cap(2 * N)
-                # N more terms, up to the cap, after the block's h >= start
-                more = min(N, _PREFIX_CAP - N)
-                held = N - start + 1
-                grown = np.empty((2, held + more))
-                grown[0, :held] = S[start - 1 - base :]
-                grown[1, :held] = sig[start - 1 - base :]
-                walk.take(grown[1], grown[0], held, more)
-                S, sig = grown
-                base, N = start - 1, N + more
-            if hi == end:
-                # twice the window, half the rows, up to sup_over_h's last
-                # chunk
-                keep = max(1, len(rows) // 2)
-                rows, best, arg = rows[:keep], best[:keep], arg[:keep]
-                step = min(2 * step, _MAX_WIDTH)
-                end = hi + step
-            lo = hi + 1
-            hi = min(end, N)
+        lo = max(int(order[i]), warm)
+        # a dense row's window holds 5 values of h or more, so the rows
+        # within _CELLS / 16 of the first fill about half the budget
+        rows = order[i : np.searchsorted(order, order[i] + _CELLS // 16)]
+        k, best, arg, hi = _windows(S, sig, base, N, rows, lo, warm)
+        if not k:
+            # the first row alone, on from its window with its running max,
+            # in consecutive windows that double up to _CELLS
+            rows, best, arg = rows[:1], best[:1], arg[:1]
+            k, step = 1, hi - lo + 1
+            while True:
+                if hi == N:
+                    walk = walk or prefix.resume()
+                    if walk is None:
+                        raise PrefixTooShortError(2 * N, (
+                            f"prefix exhausted before certificate at n={rows[0]}; "
+                            f"retry with at least {2 * N} terms"))
+                    if N >= _PREFIX_CAP:
+                        _refuse_above_cap(2 * N)
+                    # N more terms, up to the cap, after the row's h >= lo
+                    held, more = N - lo + 1, min(N, _PREFIX_CAP - N)
+                    grown = np.empty((2, held + more))
+                    grown[0, :held] = S[lo - 1 - base :]
+                    grown[1, :held] = sig[lo - 1 - base :]
+                    walk.take(grown[1], grown[0], held, more)
+                    S, sig = grown
+                    base, N = lo - 1, N + more
+                step = min(2 * step, _CELLS)
+                start, hi = hi + 1, min(hi + step, N)
+                top, at, ceiling = _scan(S, sig, base, rows, start, hi)
+                if top[0] > best[0]:
+                    best, arg = top, at
+                if ceiling[0] <= best[0]:
+                    break
         found[i : i + k] = best[:k]
         warm = int(arg[k - 1])
         i += k
-        # twice the span this block used, from its first h to one past its
-        # last maximizer, where the certificate fires
-        step = min(max(2 * (warm + 2 - start), 2 * _BLOCK_ROWS), _BLOCK_WIDTH)
     # IEEE sqrt, correctly rounded as math.sqrt is
     np.sqrt(found, out=found)
     return found[np.searchsorted(order, ns)]
+
+
+def _windows(S, sig, base, N, rows, lo, warm):
+    """The located windows of the sorted distinct ``rows``, the first from
+    lo, after the maximizer ``warm`` (S and sig hold h = base + 1 .. N):
+    the count of leading final rows, each scanned row's max and smallest
+    maximizer, and the first row's window end."""
+    # locate: the running max of g over [lo, top) first reaches n at a
+    top = min(lo + 2 * int(rows[-1] - rows[0]) + 2, lo + _CELLS, N)
+    g = np.arange(lo + 1, top + 1) - (
+        S[lo - 1 - base : top - 1 - base] * sig[lo - base : top - base] ** 2)
+    a = np.clip(np.searchsorted(np.maximum.accumulate(g), rows) + lo, rows, top)
+    # the windows [L, R]: R where sigma_h^2 falls to f_n(a), past a + 1 and
+    # within the budget, and the leading windows that fit it together
+    f = (a - rows + 1) / S[a - 1 - base]
+    R = np.searchsorted(-sig[lo - 1 - base : top - base], -np.sqrt(f)) + lo
+    L = np.maximum(rows, np.r_[lo, a[:-1] - 2]).clip(lo)
+    R = np.minimum(np.maximum(R, a + 2), np.minimum(L + _CELLS - 1, N))
+    k = int(np.searchsorted(np.cumsum(R - L + 1), _CELLS, side="right"))
+    rows, L, R = rows[:k], L[:k], R[:k]
+    best, arg, ceiling = _scan(S, sig, base, rows, L, R)
+    # final: the ceiling at R falls to the max, and the warm start proves L
+    final = (ceiling <= best) & (L <= np.maximum(rows, np.r_[warm, arg[:-1]]))
+    return int(np.argmin(np.r_[final, False])), best, arg, int(R[0])
+
+
+def _scan(S, sig, base, rows, L, R):
+    """Per row, over its window [L, R] of h as one flat array: the max of
+    (h - n + 1) / S_h, its smallest maximizer, and sup_over_h's ceiling."""
+    lens = np.atleast_1d(R - L + 1)
+    at = np.cumsum(lens) - lens
+    # h - 1 - base, the index into S, and h - n + 1, a sum exact in float64
+    ix = np.arange(at[-1] + lens[-1]) + np.repeat(L - 1 - base - at, lens)
+    vals = np.repeat((L - rows + 1 - at).astype(np.float64), lens)
+    vals += np.arange(len(ix), dtype=np.float64)
+    vals /= S[ix]
+    best = np.maximum.reduceat(vals, at)
+    first = np.flatnonzero(vals == np.repeat(best, lens))
+    s_R = sig[R - 1 - base]
+    ceiling = np.maximum(
+        (R - rows + 2) / (S[R - 1 - base] + 1.0 / (s_R * s_R)), s_R * s_R)
+    return best, ix[first[np.searchsorted(first, at)]] + base + 1, ceiling
 
 
 def _require_family(spec: WeightSpec, family: Family, emb: Embedding) -> None:

@@ -1075,6 +1075,12 @@ def test_width_grid_memory_is_bounded():
         small = _peak_rss_mb([*sup, "--n", "1..10", "--format", fmt])
         large = _peak_rss_mb([*sup, "--n", "1..2e5", "--format", fmt])
         assert large - small < 30, (fmt, small, large)
+    # a lone far row: the prefix of 2e6 terms grows by 2e6 more, 16 bytes
+    # a term (61 MiB), and the row is scanned alone in windows of at most
+    # _CELLS values of h (1 MiB each), not in one window from its start
+    small = _peak_rss_mb([*sup, "--n", "1..10"])
+    lone = _peak_rss_mb([*sup, "--n", "5,2000000"])
+    assert lone - small < 16 * 4e6 / 2**20 + 12, (small, lone)
 
 
 def test_multi_part_grid_memory_is_bounded():

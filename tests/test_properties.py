@@ -136,12 +136,15 @@ def test_width_chain_and_brackets(family, data, n):
 
 @st.composite
 def grids(draw, n_max):
-    """Dense 1..m, sparse, unsorted with repeats, a range that crosses the
-    grid pass's 64-row blocks and the ends of its windows, or a jump: a
-    dense run and then a range far beyond it, where a window sized from
-    the run's last block falls short and doubles."""
+    """Dense 1..m, sparse, unsorted with repeats, a range, a jump (a dense
+    run and then a range far beyond it), or lone: 1 to 3 far rows, one at
+    n_max, whose windows meet the prefix's end, so the pass scans a row
+    alone up to where a prefix would grow."""
     shape = draw(st.sampled_from(["dense", "sparse", "unsorted", "range",
-                                  "jump"]))
+                                  "jump", "lone"]))
+    if shape == "lone":
+        far = draw(st.sets(st.integers(1, n_max), max_size=2))
+        return sorted(far | {n_max})
     if shape == "dense":
         return list(range(1, draw(st.integers(1, min(n_max, 1500))) + 1))
     if shape == "jump":

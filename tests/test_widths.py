@@ -248,38 +248,53 @@ def test_grid_pass_never_calls_per_n_scan(monkeypatch):
     )
 
 
-def test_grid_pass_windows_follow_the_last_block(monkeypatch):
-    # every matrix of the grid pass, through a proxy for the module's numpy
-    # whose subtract notes its output shape: after the first block each
-    # window starts at twice the span the last block used, so a dense grid
-    # builds about a tenth of the cells that 2048-wide windows did (94
-    # blocks of 64 x 2048, 12.3M cells, on this grid), and no matrix
-    # exceeds 64 x 2048 cells; on a prefix that ends at the grid's top n
-    # the pass takes its further terms within the same windows
-    shapes = []
+def test_grid_pass_windows_fit_one_cell_budget(monkeypatch):
+    # every evaluation of (h - n + 1) / S_h in the grid pass, one flat
+    # array over the windows [L, R] of its rows: g locates each row's
+    # maximizer, so a dense grid reads a few values of h per row (about
+    # 39,000 and 49,000 in all here), and no evaluation exceeds the budget
+    # of _CELLS; on a prefix that ends at the grid's top n the pass takes
+    # its further terms for the rows its windows miss
+    sizes = []
+    scan = widths_mod._scan
 
-    class Recording:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def subtract(self, *args, **kwargs):
-            out = np.subtract(*args, **kwargs)
-            shapes.append(out.shape)
-            return out
+    def recording(S, sig, base, rows, L, R):
+        sizes.append(int(np.sum(R - L + 1)))
+        return scan(S, sig, base, rows, L, R)
 
     spec = WeightSpec(Family.MIXED_INF, s=1.0, d=1)
     grid = list(range(1, 6001))
     reference = sigma_prefix(spec, 24000)
     expected = [sup_over_h(reference, n)[0] for n in grid]
-    monkeypatch.setattr(widths_mod, "np", Recording())
+    monkeypatch.setattr(widths_mod, "_scan", recording)
     for n_max in (24000, 6000):
-        shapes.clear()
+        sizes.clear()
         p = sigma_prefix(spec, n_max)
         got = width(p, Embedding.A_TO_L2, WidthKind.APPROXIMATION, grid)
         assert [w.value for w in got] == expected
-        cells = [rows * cols for rows, cols in shapes]
-        assert max(cells) <= 64 * 2048
-        assert sum(cells) < 3_000_000, (n_max, len(cells), sum(cells))
+        assert max(sizes) <= widths_mod._CELLS
+        assert sum(sizes) < 100_000, (n_max, len(sizes), sum(sizes))
+
+
+@pytest.mark.parametrize("spec", [
+    WeightSpec(Family.MIXED_INF, s=1.0, d=2),
+    WeightSpec(Family.MIXED_SR, s=1.0, d=2, r=2.0),
+    WeightSpec(Family.H1_RATIO, s=2.0, d=2),
+    WeightSpec(Family.ISOTROPIC_SR, s=33 / 32, d=2, r=2.0),
+    WeightSpec(Family.ISOTROPIC_INF, s=1.0, d=3),
+    WeightSpec(Family.MIXED_INF, s=0.25, d=1),
+], ids=["mixed-inf-d2", "mixed-sr", "h1-ratio", "isotropic-sr-near-flat",
+        "isotropic-inf-d3", "mixed-inf-quarter"])
+def test_grid_pass_dense_equals_per_n_scan(spec):
+    # a dense grid to the prefix's end, which grows: integer weights with
+    # long plateaus, a near-flat weight, and h* near 3n at s = 1/4; the
+    # per-n scan reads a prefix long enough for every n
+    n_max = 20000
+    got = width(sigma_prefix(spec, n_max), Embedding.A_TO_L2,
+                WidthKind.APPROXIMATION, range(1, n_max + 1))
+    reference = sigma_prefix(spec, 8 * n_max)
+    expected = [sup_over_h(reference, n)[0] for n in range(1, n_max + 1)]
+    assert [w.value for w in got] == expected
 
 
 def test_grid_pass_on_flat_prefix():
