@@ -55,6 +55,14 @@ and an oracle box (``sigma --check-box-radius``) above its cap or with
 fewer points than the prefix.
 Exit codes: 0 success, 1 stdout closed early (broken pipe), 2 domain/usage
 error or an --output path that cannot be opened, 3 resource cap.
+Run as the program (``main()`` without argv, as the ``wiener-widths``
+script and ``python -m wienerwidths.cli`` call it), ``main`` flushes
+stdout and stderr once the exit code is decided and ends the process with
+``os._exit``, skipping the interpreter's teardown, so atexit hooks that
+site customizations register do not run.  An exception that escapes
+``main`` (argparse's usage errors and --help, an interrupt, a bug's
+traceback) exits the usual way, and ``main(argv)`` with a list returns
+the code.
 
 Importing this module loads neither numpy nor ``_floattext``.  ``sigma``,
 ``width``, ``converge`` and ``appendix-verify`` load numpy at their first
@@ -691,24 +699,35 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             _emit(args, *_DISPATCH[args.command](args))
             sys.stdout.flush()
-            return 0
+            code = 0
         except BrokenPipeError:
             # The reader closed stdout (e.g. `| head`).  Point stdout at
-            # devnull so the flush at interpreter exit cannot raise again.
+            # devnull so no later flush can raise again.
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
-            return 1
+            code = 1
         except OSError as exc:  # e.g. an --output path that cannot be opened
             print(f"error: {exc}", file=sys.stderr)
-            return 2
+            code = 2
         except (ResourceLimitError, MemoryError) as exc:
             # ResourceLimitError covers sigma.CumSumOverflowError
             print(f"error: {exc}", file=sys.stderr)
-            return 3
+            code = 3
         except (ValueError, TypeError, OverflowError) as exc:
             # any other OverflowError is an input beyond the float range
             print(f"error: {exc}", file=sys.stderr)
-            return 2
+            code = 2
+    if argv is not None:
+        return code
+    # The program: only the interpreter's teardown is left (two GC passes
+    # over numpy's objects, then the modules'), so end at the last flushed
+    # byte.  A flush that fails leaves the exit to the interpreter.
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

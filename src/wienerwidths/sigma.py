@@ -288,8 +288,10 @@ def _frame(arrays: RepArrays, lo: float, hi: float, axis: int, limit: float,
         top = axis + 2 * (top - axis)
     U = _bisect(at_most_hi, axis, min(top - 1, a_max))
     L = 0 if lo == -math.inf else 1 + _bisect(at_most_lo, 0, U)
+    if U - L + 1 > limit:  # the first layer: no table grows for a refused trial
+        return None
+    arrays.reserve(U)
     L, U = np.array([L]), np.array([U])
-    arrays.reserve(int(U[0]))
     cols: list[np.ndarray] = []
     widest = 1
     for j in range(1, d):

@@ -363,9 +363,14 @@ def _sup_values(prefix: SigmaPrefix, ns: np.ndarray) -> np.ndarray:
     in its order, by the located grid pass of the module docstring."""
     N, S, sig = prefix.n_max, prefix.cum_inv_sq, prefix.values
     base, walk = 0, None  # S and sig hold h = base + 1 .. N
-    # the sorted distinct grid (a bool mask: no int64 temporary of its size)
-    order = np.sort(ns)
-    order = order[np.r_[True, order[1:] != order[:-1]]] if order.size else order
+    # the sorted distinct grid: the grid itself where it increases
+    # strictly, as a range does, else sorted and deduplicated (a bool mask:
+    # no int64 temporary of its size)
+    order = ns
+    increasing = bool((ns[1:] > ns[:-1]).all())
+    if not increasing:
+        order = np.sort(ns)
+        order = order[np.r_[True, order[1:] != order[:-1]]]
     found = np.empty(len(order))  # the sup of (h - n + 1) / S_h at each n
     warm, i = 1, 0  # the maximizer of the last n answered, and the next n
     while i < len(order):
@@ -408,7 +413,7 @@ def _sup_values(prefix: SigmaPrefix, ns: np.ndarray) -> np.ndarray:
         i += k
     # IEEE sqrt, correctly rounded as math.sqrt is
     np.sqrt(found, out=found)
-    return found[np.searchsorted(order, ns)]
+    return found if increasing else found[np.searchsorted(order, ns)]
 
 
 def _windows(S, sig, base, N, rows, lo, warm):

@@ -500,6 +500,54 @@ def test_every_subcommand_runs_without_scipy(argv):
     assert blocked.stdout == plain.stdout
 
 
+# stdout block-buffered, as in a pipeline: a byte the program's exit
+# failed to flush would be lost
+_BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _in_process(argv, capsys):
+    """(exit code, stdout, stderr) of ``main(argv)`` in this process."""
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=[
+    "sigma", "width", "converge", "constants", "count", "appendix-verify",
+    "integral-s1", "integral-s2"])
+def test_program_run_ends_like_main(argv, fmt, tmp_path, capsys):
+    # run as the program, main ends the process at its last flushed byte;
+    # the table, the exit code and the empty stderr are those main(argv)
+    # returns with, on stdout and through --output alike
+    argv = [*argv, "--format", fmt]
+    code, out, err = _in_process(argv, capsys)
+    assert (code, err) == (0, "")
+    program = subprocess.run(CLI + argv, capture_output=True, timeout=120,
+                             env=_BUFFERED)
+    assert (program.returncode, program.stderr) == (0, b"")
+    assert program.stdout == out
+    path = tmp_path / f"table.{fmt}"
+    program = subprocess.run(CLI + [*argv, "--output", str(path)],
+                             capture_output=True, timeout=120, env=_BUFFERED)
+    assert (program.returncode, program.stderr, program.stdout) == (0, b"", b"")
+    assert path.read_bytes() == out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sigma", "--family", "h1-ratio", "--s", "1", "--d", "2", "--n", "5"], 2),
+    (["sigma", "--family", "mixed-inf", "--s", "1", "--d", "1",
+      "--n", "1e8"], 3),
+], ids=["domain-error", "prefix-cap"])
+def test_program_refusal_ends_like_main(argv, code, capsys):
+    want = _in_process(argv, capsys)
+    assert want[0] == code and want[2].startswith("error: ")
+    program = subprocess.run(CLI + argv, capture_output=True, text=True,
+                             timeout=120, env=_BUFFERED)
+    assert (program.returncode, program.stdout.encode(), program.stderr) == want
+
+
 _SECTION_11 = _EVERY_SUBCOMMAND[-2:]
 # (argv, exit code): both REPRODUCE.md section 11 integrals, the constants
 # that sum no series, the three kinds of count, and a refusal of every
@@ -1085,12 +1133,13 @@ def test_width_grid_memory_is_bounded():
 
 def test_multi_part_grid_memory_is_bounded():
     # a grid of several parts is packed 8 bytes per entry, as a range's
-    # values are in the arrays: one more entry adds about 1.5 MB, where a
-    # list of Python ints (39 bytes an entry) added 7.6 MB
+    # values are in the arrays: the same entries in two parts add about
+    # 1.4 MB, where a list of Python ints (39 bytes an entry) added 7.6 MB;
+    # both grids increase, so neither is sorted in the sup pass
     sup = ["width", "--family", "mixed-inf", "--s", "1", "--d", "1",
            "--embedding", "a-to-l2", "--kind", "approximation"]
     one = _peak_rss_mb([*sup, "--n", "1..2e5"])
-    parts = _peak_rss_mb([*sup, "--n", "1..2e5,1"])
+    parts = _peak_rss_mb([*sup, "--n", "1..1e5,100001..2e5"])
     assert parts - one < 4, (one, parts)
 
 

@@ -172,6 +172,20 @@ def test_prefix_bit_identical_fixed(spec, n_max):
     assert fast.cum_inv_sq.tobytes() == ref.cum_inv_sq.tobytes()
 
 
+def test_refused_trials_grow_no_table():
+    # a trial band whose first layer passes its limit is refused before the
+    # tables are filled to its first coordinate: isotropic-sr at s = 33/32
+    # needs about 500 entries for 24,000 terms, where its refused trials
+    # once filled each table to 3,906 full scalar evaluations
+    spec = WeightSpec(Family.ISOTROPIC_SR, s=33 / 32, d=2, r=2.0)
+    fast = sigma_prefix(spec, 24_000)
+    ref = heap_prefix(spec, 24_000)
+    sizes = {name: len(t) for name, t in fast._walk.arrays._tables.items()}
+    assert max(sizes.values()) < 1_000, sizes
+    assert fast.values.tobytes() == ref.values.tobytes()
+    assert fast.cum_inv_sq.tobytes() == ref.cum_inv_sq.tobytes()
+
+
 def _taken(prefix, k):
     """The k terms after a prefix, from a copy of its walk."""
     values, cum = np.empty(k), np.empty(k)

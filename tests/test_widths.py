@@ -297,6 +297,23 @@ def test_grid_pass_dense_equals_per_n_scan(spec):
     assert [w.value for w in got] == expected
 
 
+def test_grid_pass_in_any_order_equals_per_n_scan():
+    # a strictly increasing grid is answered in its own order, without the
+    # sort and the map back; a descending grid, repeats and a single n go
+    # through them: either way every value is sup_over_h's, bit for bit
+    spec = WeightSpec(Family.MIXED_SR, s=1.0, d=2, r=2.0)
+    p = sigma_prefix(spec, 3000)
+    reference = sigma_prefix(spec, 24000)
+    up = np.arange(1, 3001, dtype=np.int64)
+    expected = [None] + [sup_over_h(reference, n)[0] for n in up.tolist()]
+    sparse = np.array([2, 30, 31, 700, 2999], dtype=np.int64)
+    for grid in (up, up[::-1].copy(), np.repeat(sparse, 2),
+                 np.r_[sparse, sparse], up[[1, 0]], up[[0, 0]], sparse,
+                 up[[41]], up[:0]):
+        got = widths_mod._sup_values(p, grid)
+        assert got.tolist() == [expected[n] for n in grid.tolist()], grid
+
+
 def test_grid_pass_on_flat_prefix():
     # the prefix of test_sup_over_h_constant_prefix: n = 1 certifies, n = 7
     # never does, through the grid pass as through sup_over_h
